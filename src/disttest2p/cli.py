@@ -410,7 +410,7 @@ def _parse_overrides(pairs) -> dict:
             raise ConfigError(f"bad override {pair!r}, expected NAME=VALUE")
         name, value = pair.split("=", 1)
         number = float(value)
-        out[name] = int(number) if number == int(number) else number
+        out[name] = int(number) if number.is_integer() else number
     return out
 
 

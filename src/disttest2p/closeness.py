@@ -37,6 +37,7 @@ from .harness import (
     CircuitSpec,
     ConfigError,
     Decision,
+    ProtocolError,
     Recv,
     Send,
     SharedRandomness,
@@ -95,6 +96,12 @@ class CTParams:
             raise ConfigError("alphabet size must be at least 2")
         if not 0 < self.eps <= 2:
             raise ConfigError("eps must be in (0, 2]")
+        if not 0 < self.sketch_delta < 1:
+            raise ConfigError("sketch_delta must be in (0, 1)")
+        for name in ("c_alpha", "c_split", "big_c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive")
         if self.t < self.min_samples():
             raise ConfigError(
                 f"t={self.t} below precondition "
@@ -160,10 +167,16 @@ def _encode_multiset(s: Multiset) -> bytes:
 
 
 def _decode_multiset(payload: bytes, n: int) -> Multiset:
-    (count,) = struct.unpack_from("<I", payload, 0)
+    if len(payload) < 4 or \
+            len(payload) != 4 + 8 * struct.unpack_from("<I", payload, 0)[0]:
+        raise ProtocolError(f"split multiset payload of {len(payload)} bytes "
+                            "is truncated or has trailing bytes")
+    count = (len(payload) - 4) // 8
     counts = np.zeros(n, dtype=np.int64)
     for idx in range(count):
         letter, mult = struct.unpack_from("<II", payload, 4 + 8 * idx)
+        if letter >= n:
+            raise ProtocolError(f"split multiset letter {letter} >= n={n}")
         counts[letter] = mult
     return Multiset(counts)
 
@@ -222,13 +235,17 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         return verdict
 
     alice_out, bob_out, transcript = run_protocol(alice_program(), bob_program())
-    assert alice_out == bob_out
+    if alice_out != bob_out:
+        raise ProtocolError(f"parties disagree: alice {alice_out}, bob {bob_out}")
     return Verdict(bob_out, transcript)
 
 
 def _sketch_from_bytes(payload: bytes, template):
-    (count,) = struct.unpack_from("<I", payload, 0)
-    counters = np.frombuffer(payload, dtype="<f8", offset=4, count=count)
+    width = template.counters.size
+    if len(payload) != 4 + 8 * width or \
+            struct.unpack_from("<I", payload, 0)[0] != width:
+        raise ProtocolError(f"sketch payload does not hold {width} counters")
+    counters = np.frombuffer(payload, dtype="<f8", offset=4, count=width)
     return type(template)(counters, template.seed, template.alpha,
                           template.delta, template.groups, template.group_size)
 

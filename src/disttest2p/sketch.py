@@ -1,11 +1,10 @@
 """L2 machinery: linear sketches, collision norm estimates, rounded rotations.
 
-The sketch is the classic sign-projection estimator: counters are inner
-products of the input vector with seeded rows of +-1 signs, and the squared
-norm is recovered as a median of group means of squared counters.  Sketches
-built from the same seed are linear in their input, which is what lets two
-parties estimate ``||X - Y||^2`` from the difference of their counter
-vectors.
+The sketch is a CountSketch (fast-AGMS): 4-wise independent Carter-Wegman
+hashes put each coordinate in one of ``group_size`` buckets per group with a
++-1 sign; the squared norm is the median over groups of the sums of squared
+buckets.  Same-seed sketches are linear, which is what lets two parties
+estimate ``||X - Y||^2`` from the difference of their counter vectors.
 """
 
 from __future__ import annotations
@@ -13,25 +12,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-
-@lru_cache(maxsize=4)
-def _sign_matrix(seed: int, rows: int, n: int) -> np.ndarray:
-    """Seeded +-1 sign rows, identical for every holder of the seed.
-
-    Signs are drawn i.i.d. from the seeded generator, i.e. the projection
-    family is fully independent (in particular 4-wise independent, which is
-    all the variance analysis needs).  float32 is exact here: counters are
-    signed sums of counts, integers well below 2**24.
-    """
-    bits = np.random.default_rng(seed).integers(0, 2, size=(rows, n),
-                                                dtype=np.int8)
-    signs = (2 * bits - 1).astype(np.float32)
-    signs.flags.writeable = False
-    return signs
+_PRIME = (1 << 31) - 1  # Mersenne prime modulus of the polynomial hashes
 
 
 @dataclass(frozen=True)
@@ -39,7 +23,7 @@ class L2Sketch:
     """Linear sketch of an integer vector.
 
     ``counters`` has ``groups * group_size`` entries; estimation takes the
-    mean of squares inside each group and the median across groups.
+    sum of squares inside each group and the median across groups.
     """
 
     counters: np.ndarray
@@ -63,23 +47,38 @@ def sketch_width(alpha: float, delta: float) -> tuple[int, int]:
 
 
 def l2_sketch(vector, alpha: float, delta: float, seed: int) -> L2Sketch:
-    """Sketch a count vector (or anything array-like) at relative error alpha."""
+    """Sketch a count vector (or anything array-like) at relative error alpha.
+
+    Hashes only nonzero coordinates (O(nnz * groups) time, O(counters)
+    memory); float64 counters keep integer sketches exactly linear.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    v = np.asarray(getattr(vector, "counts", vector), dtype=np.float32)
+    v = np.asarray(getattr(vector, "counts", vector), dtype=np.float64)
+    if v.size >= _PRIME:
+        raise ValueError(f"vector length must be below {_PRIME}")
     groups, group_size = sketch_width(alpha, delta)
-    signs = _sign_matrix(seed, groups * group_size, v.size)
-    counters = (signs @ v).astype(np.float64)
+    # Degree-3 polynomials by Horner's rule; rows [:groups] give buckets and
+    # rows [groups:] signs.  Both factors stay below 2**31: no int64 overflow.
+    coeffs = np.random.default_rng(seed).integers(
+        0, _PRIME, size=(4, 2 * groups, 1), dtype=np.int64)
+    nz = np.flatnonzero(v)
+    h = coeffs[0]
+    for c in coeffs[1:]:
+        h = (h * nz + c) % _PRIME
+    buckets = h[:groups] % group_size + group_size * np.arange(groups)[:, None]
+    signs = 1 - 2 * (h[groups:] & 1)
+    counters = np.bincount(buckets.ravel(), weights=(signs * v[nz]).ravel(),
+                           minlength=groups * group_size)
     return L2Sketch(counters, seed, alpha, delta, groups, group_size)
 
 
 def _estimate_from_counters(counters: np.ndarray, groups: int,
                             group_size: int) -> float:
     sq = counters.astype(np.float64) ** 2
-    means = sq.reshape(groups, group_size).mean(axis=1)
-    return float(np.median(means))
+    return float(np.median(sq.reshape(groups, group_size).sum(axis=1)))
 
 
 def estimate_norm_sq(s: L2Sketch) -> float:

@@ -97,6 +97,17 @@ class TestMain:
         assert code == 2
         assert "precondition" in capsys.readouterr().err
 
+    def test_bad_constant_skips_cell(self, capsys):
+        for pair, reason in (("sketch_delta=1.5", "sketch_delta"),
+                             ("c_alpha=nan", "c_alpha"),
+                             ("c_split=-1", "c_split")):
+            code = main(["run", "--protocol", "closeness", "--n", "200",
+                         "--t", "300", "--set", pair])
+            assert code == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert len(rows) == 2
+            assert all(",skipped," in row and reason in row for row in rows)
+
     def test_run_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["run", "--protocol", "closeness", "--n", "200",

@@ -28,7 +28,13 @@ from disttest2p.dist import (
     split_occurrence_matrix,
     uniform_distribution,
 )
-from disttest2p.harness import ConfigError, Decision, SharedRandomness
+from disttest2p.harness import (
+    ConfigError,
+    Decision,
+    ProtocolError,
+    SharedRandomness,
+    Transcript,
+)
 
 
 def rng(seed=0):
@@ -72,6 +78,16 @@ class TestParams:
         p = CTParams(n=200, t=274, eps=1.0)
         assert p.split_rate == pytest.approx(200 ** 2 / 274 ** 2)
 
+    @pytest.mark.parametrize("override", [
+        {"sketch_delta": 0.0}, {"sketch_delta": 1.0}, {"sketch_delta": 1.5},
+        {"sketch_delta": math.nan}, {"c_alpha": math.nan}, {"c_alpha": 0.0},
+        {"c_alpha": -1.0}, {"c_split": -1.0}, {"c_split": math.inf},
+        {"big_c": 0.0}, {"big_c": math.nan},
+    ])
+    def test_bad_constants_refused(self, override):
+        with pytest.raises(ConfigError):
+            CTParams(n=200, t=300, eps=1.0, **override)
+
 
 class TestFarInstance:
     def test_exact_distance_paired(self):
@@ -90,6 +106,16 @@ class TestCT2pInsecure:
         p = uniform_distribution(200)
         with pytest.raises(ConfigError):
             ct2p_insecure(sample(p, 100, rng()), sample(p, 274, rng()), params, 0)
+
+    def test_disagreeing_parties_raise(self, monkeypatch):
+        import disttest2p.closeness as closeness
+        monkeypatch.setattr(closeness, "run_protocol", lambda a, b: (
+            Decision.SAME, Decision.FAR, Transcript()))
+        params = CTParams(n=200, t=274, eps=1.0)
+        p = uniform_distribution(200)
+        with pytest.raises(ProtocolError):
+            ct2p_insecure(sample(p, 274, rng(1)), sample(p, 274, rng(2)),
+                          params, 0)
 
     def test_replay_bit_identical(self):
         params = CTParams(n=200, t=274, eps=1.0)

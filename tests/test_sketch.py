@@ -1,10 +1,32 @@
-"""Sketching, collision estimation and rounded rotations."""
+"""Sketching, collision estimation, rounded rotations and wire payloads."""
+
+import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disttest2p.dist import IndexedSampleSet, sample, uniform_distribution
+import disttest2p.closeness as closeness
+from disttest2p.closeness import (
+    CTParams,
+    _decode_multiset,
+    _encode_multiset,
+    _sketch_from_bytes,
+    ct2p_insecure,
+    far_instance,
+)
+from disttest2p.dist import (
+    IndexedSampleSet,
+    Multiset,
+    sample,
+    uniform_distribution,
+)
+from disttest2p.harness import Decision, ProtocolError
 from disttest2p.sketch import (
+    L2Sketch,
     RoundedRotation,
     apply_rotation_coord,
     collision_norm_estimate,
@@ -17,6 +39,23 @@ from disttest2p.sketch import (
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def dense_l2_sketch(vector, alpha, delta, seed):
+    """Reference sketch: i.i.d. +-1 sign rows, scaled so a group's sum of
+    squared counters equals the mean of squared sign projections."""
+    v = np.asarray(getattr(vector, "counts", vector), dtype=np.float64)
+    groups, group_size = sketch_width(alpha, delta)
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(groups * group_size, v.size), dtype=np.int8)
+    counters = (2.0 * bits - 1.0) @ v / math.sqrt(group_size)
+    return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+
+
+def integer_vector_pairs():
+    return st.integers(1, 60).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n)
+          for _ in range(2)]))
 
 
 class TestL2Sketch:
@@ -105,6 +144,151 @@ class TestL2Sketch:
         s = l2_sketch(np.ones(10), 0.5, 0.5, 0)
         blob = s.to_bytes()
         assert len(blob) == 4 + 8 * s.counters.size
+
+    @given(integer_vector_pairs(), st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_linearity_property(self, pair, seed):
+        x, y = (np.array(v, dtype=np.int64) for v in pair)
+        sx, sy = l2_sketch(x, 0.4, 0.2, seed), l2_sketch(y, 0.4, 0.2, seed)
+        assert np.array_equal(sx.counters - sy.counters,
+                              l2_sketch(x - y, 0.4, 0.2, seed).counters)
+        assert np.array_equal(sx.counters + sy.counters,
+                              l2_sketch(x + y, 0.4, 0.2, seed).counters)
+
+    @given(integer_vector_pairs(), st.floats(0.2, 0.9), st.floats(0.01, 0.9),
+           st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_round_trip(self, pair, alpha, delta, seed):
+        s = l2_sketch(np.array(pair[0]), alpha, delta, seed)
+        back = _sketch_from_bytes(s.to_bytes(), s)
+        assert np.array_equal(back.counters, s.counters)
+        assert (back.seed, back.alpha, back.delta, back.groups,
+                back.group_size) == (seed, alpha, delta, s.groups, s.group_size)
+
+    def test_group_sums_unbiased(self):
+        # each group's sum of squared buckets has mean ||v||^2 and variance
+        # at most 2 ||v||^4 / group_size
+        v = rng(9).integers(-5, 6, 50)
+        norm_sq = float(v @ v)
+        groups, group_size = sketch_width(0.3, 0.1)
+        sums = np.concatenate([
+            (l2_sketch(v, 0.3, 0.1, seed).counters ** 2)
+            .reshape(groups, group_size).sum(axis=1) for seed in range(300)])
+        stderr = sums.std(ddof=1) / math.sqrt(sums.size)
+        assert abs(sums.mean() - norm_sq) <= 3 * stderr
+        assert sums.var(ddof=1) <= 1.1 * 2 * norm_sq ** 2 / group_size
+
+    def test_sparse_long_vector_memory(self):
+        v = np.zeros(10 ** 6)
+        v[rng(10).choice(v.size, 100, replace=False)] = 1 + np.arange(100)
+        tracemalloc.start()
+        try:
+            sk = l2_sketch(v, 0.05, 0.05, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+        assert sk.counters.size == 27 * 2400
+        assert 0.95 <= estimate_norm_sq(sk) / float(v @ v) <= 1.05
+
+    def test_length_beyond_hash_field_rejected(self):
+        v = np.broadcast_to(np.float64(0), ((1 << 31) - 1,))
+        with pytest.raises(ValueError):
+            l2_sketch(v, 0.5, 0.5, 0)
+
+    def test_verdict_law_matches_dense_reference(self, monkeypatch):
+        # One group per sketch (sketch_delta=0.95) exposes the per-group law;
+        # dense i.i.d. signs and hashed buckets must fail (1 +- alpha) at
+        # the same rate and reach the same verdicts.
+        n, seeds = 200, 200
+        t = math.ceil(2 * CTParams(n=n, t=10 ** 9, eps=1.0).min_samples())
+        params = CTParams(n=n, t=t, eps=1.0, sketch_delta=0.95)
+        results = {}
+        for name, build in (("hashed", l2_sketch), ("dense", dense_l2_sketch)):
+            vectors, errors = [], []
+
+            def recording_sketch(v, *args, build=build, vectors=vectors):
+                vectors.append(np.asarray(v.counts, dtype=np.float64))
+                return build(v, *args)
+
+            def recording_estimate(sa, sb, errors=errors, vectors=vectors):
+                # Alice sketches before Bob, so the last two are (A_S, B_S).
+                est = estimate_distance_sq(sa, sb)
+                true = float(((vectors[-2] - vectors[-1]) ** 2).sum())
+                errors.append(est / true - 1.0)
+                return est
+
+            monkeypatch.setattr(closeness, "l2_sketch", recording_sketch)
+            monkeypatch.setattr(closeness, "estimate_distance_sq",
+                                recording_estimate)
+            verdicts = []
+            for seed in range(seeds):
+                r = rng(seed)
+                a = sample(uniform_distribution(n), t, r)
+                b = sample(uniform_distribution(n), t, r)
+                c = sample(far_instance(n, 1.0), t, r)
+                verdicts += [ct2p_insecure(a, b, params, seed).decision,
+                             ct2p_insecure(a, c, params, seed).decision]
+            errors = np.array(errors)
+            results[name] = (verdicts, np.mean(np.abs(errors) > params.alpha),
+                             errors.std())
+        (v_hash, fail_hash, sd_hash), (v_dense, fail_dense, sd_dense) = \
+            results["hashed"], results["dense"]
+        agreement = np.mean([x is y for x, y in zip(v_hash, v_dense)])
+        assert agreement >= 0.97
+        assert abs(fail_hash - fail_dense) <= 0.06
+        assert max(fail_hash, fail_dense) <= 1 / 3  # Chebyshev, one group
+        assert 0.8 <= sd_hash / sd_dense <= 1.25
+        assert v_hash[0::2].count(Decision.SAME) >= 0.9 * seeds
+        assert v_hash[1::2].count(Decision.FAR) >= 0.9 * seeds
+
+
+class TestWirePayloads:
+    def test_multiset_round_trip(self):
+        s = Multiset(np.array([0, 3, 0, 1, 7]))
+        decoded = _decode_multiset(_encode_multiset(s), 5)
+        assert np.array_equal(decoded.counts, s.counts)
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"\x01\x00", struct.pack("<I", 2) + struct.pack("<II", 1, 1),
+        struct.pack("<III", 1, 1, 1) + b"\x00", struct.pack("<III", 1, 5, 1),
+    ], ids=["empty", "short-count", "truncated", "trailing", "letter-ge-n"])
+    def test_bad_multiset_rejected(self, payload):
+        with pytest.raises(ProtocolError):
+            _decode_multiset(payload, 5)
+
+    def test_sketch_width_mismatch_rejected(self):
+        template = l2_sketch(np.ones(20), 0.3, 0.1, 0)
+        short = l2_sketch(np.ones(20), 0.9, 0.9, 0).to_bytes()
+        assert (len(short) - 4) // 8 < template.counters.size
+        for payload in (short, template.to_bytes()[:-1],
+                        template.to_bytes() + b"\x00", b"\x00\x00"):
+            with pytest.raises(ProtocolError):
+                _sketch_from_bytes(payload, template)
+
+    @given(st.one_of(st.binary(max_size=120),
+                     st.builds(lambda count, body: struct.pack("<I", count) + body,
+                               st.integers(0, 12), st.binary(max_size=100))),
+           st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_multiset_raises_only_protocol_error(self, payload, n):
+        try:
+            decoded = _decode_multiset(payload, n)
+        except ProtocolError:
+            return
+        assert decoded.counts.size == n
+
+    @given(st.one_of(st.binary(max_size=120),
+                     st.builds(lambda count, body: struct.pack("<I", count) + body,
+                               st.integers(0, 12), st.binary(max_size=100))))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_sketch_raises_only_protocol_error(self, payload):
+        template = l2_sketch(np.ones(5), 0.9, 0.9, 0)  # 8 counters, 68 bytes
+        try:
+            decoded = _sketch_from_bytes(payload, template)
+        except ProtocolError:
+            return
+        assert decoded.counters.size == template.counters.size
 
 
 class TestCollisionEstimate:
