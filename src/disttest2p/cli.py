@@ -3,8 +3,8 @@
 Every row of every experiment is reproducible: the work for a (cell, trial,
 family) triple depends only on the root seed mixed with those coordinates
 (see :func:`disttest2p.harness.mix64`), so reruns with the same config are
-byte-identical regardless of worker scheduling.  Wall-clock columns are left
-empty unless timing is explicitly requested, for the same reason.
+byte-identical.  Wall-clock columns are left empty unless timing is
+explicitly requested, for the same reason.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .closeness import (
     far_instance,
     threshold_tau,
 )
-from .harness import ConfigError, Decision, mix64
+from .harness import ConfigError, Decision, Transcript, Verdict, mix64
 from .hardness import (
     GHDReductionParams,
     bhh_generate,
@@ -40,25 +41,92 @@ from .hardness import (
 )
 from .independence import ITParams, diagonal_joint, it2p, one_way_it2p, product_joint
 
-PROTOCOLS = ("closeness", "closeness-secure", "independence",
-             "independence-oneway", "hardgen")
-
-_FAMILIES = {
-    "closeness": ("same", "far"),
-    "closeness-secure": ("same", "far"),
-    "independence": ("product", "far"),
-    "independence-oneway": ("product", "far"),
-    "hardgen": ("same", "far"),
-}
-
 _EXPECTED = {"same": Decision.SAME, "far": Decision.FAR,
              "product": Decision.PRODUCT}
 
 _FAMILY_CODE = {"same": 0, "far": 1, "product": 2}
 
-COLUMNS = ["protocol", "n", "m", "t", "eps", "k", "trial", "family", "status",
-           "verdict", "success", "plaintext_bits", "secure_bits",
-           "lambda_mean", "wall_ms", "reason"]
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol the driver runs.
+
+    ``instance(cell, family, params, rng)`` draws the two parties' inputs and
+    ``runner(cell, alice, bob, params, seed)`` decides them.  Both look the
+    testers up by their module-global names at call time, so a function
+    rebound on this module (a tracer, a test double) is the one that runs.
+    """
+
+    params: type     # its init fields other than ``keys`` are the constants
+    keys: tuple      # the grid coordinates the params class takes
+    families: tuple
+    instance: Callable
+    runner: Callable
+
+
+def _closeness_samples(cell, family, params, rng):
+    a = dist.uniform_distribution(cell["n"])
+    b = a if family == "same" else far_instance(cell["n"], cell["eps"])
+    return dist.sample(a, cell["t"], rng), dist.sample(b, cell["t"], rng)
+
+
+def _joint_samples(cell, family, params, rng):
+    n, m = cell["n"], cell["m"]
+    joint = (product_joint(dist.uniform_distribution(n),
+                           dist.uniform_distribution(m))
+             if family == "product" else diagonal_joint(n, m))
+    return joint.sample_joint(cell["t"], rng)
+
+
+def _ghd_pair(case, params, rng):
+    inp = ghd_generate_inputs(params.m, case, rng, beta=params.beta)
+    return ghd_reduce(inp, params, rng)
+
+
+def _ghd_verdict(cell, a_vec, b_vec, params, seed):
+    """Classify a reduced GHD instance with the closeness threshold rule."""
+    delta_sq = float(((a_vec.counts - b_vec.counts) ** 2).sum())
+    tau = threshold_tau(cell["n"], cell["t"], cell["eps"])
+    return Verdict(distinguish(delta_sq, tau), Transcript())
+
+
+PROTOCOLS = {
+    "closeness": Protocol(
+        CTParams, ("n", "t", "eps"), ("same", "far"), _closeness_samples,
+        lambda cell, *a: ct2p_insecure(*a)),
+    "closeness-secure": Protocol(
+        SecureCTParams, ("n", "t", "eps", "k"), ("same", "far"),
+        _closeness_samples, lambda cell, *a: ct2p_secure_reference(*a)),
+    "independence": Protocol(
+        ITParams, ("n", "m", "t", "eps", "k"), ("product", "far"),
+        _joint_samples, lambda cell, *a: it2p(*a)),
+    "independence-oneway": Protocol(
+        ITParams, ("n", "m", "t", "eps", "k"), ("product", "far"),
+        _joint_samples, lambda cell, *a: one_way_it2p(*a)),
+    "hardgen": Protocol(
+        GHDReductionParams, ("n", "t"), ("same", "far"),
+        lambda cell, family, params, rng: _ghd_pair(family.upper(), params, rng),
+        _ghd_verdict),
+}
+
+
+def _check_overrides(protocol: str, overrides: dict) -> None:
+    """Refuse names that are not constants (init fields off the grid) of the
+    protocol's params class."""
+    proto = PROTOCOLS[protocol]
+    known = sorted(f.name for f in fields(proto.params)
+                   if f.init and f.name not in proto.keys)
+    for name in overrides:
+        if name not in known:
+            raise ConfigError(f"{protocol} has no constant {name!r} "
+                              f"(known: {', '.join(known)})")
+
+
+def make_params(protocol: str, cell: dict, overrides: dict):
+    """The protocol's params for one grid cell; ConfigError if refused."""
+    _check_overrides(protocol, overrides)
+    proto = PROTOCOLS[protocol]
+    return proto.params(**{key: cell[key] for key in proto.keys}, **overrides)
 
 
 @dataclass(frozen=True)
@@ -73,11 +141,11 @@ class ExperimentConfig:
     seed: int = 0
     overrides: dict = field(default_factory=dict)
     timing: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
+        _check_overrides(self.protocol, self.overrides)
         for name, grid in (("n", self.ns), ("t", self.ts), ("eps", self.epss),
                            ("m", self.ms), ("k", self.ks)):
             if len(grid) == 0:
@@ -105,148 +173,56 @@ class ResultRow:
     wall_ms: object = ""
     reason: str = ""
 
-    def fields(self) -> list:
-        return [getattr(self, c) for c in COLUMNS]
 
-
-def _filtered(overrides: dict, cls) -> dict:
-    valid = set(cls.__dataclass_fields__)
-    return {k: v for k, v in overrides.items() if k in valid}
+COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _run_one(cfg: ExperimentConfig, cell_index: int, cell: dict, trial: int,
              family: str) -> ResultRow:
+    proto = PROTOCOLS[cfg.protocol]
     row_seed = mix64(cfg.seed, cell_index, trial, _FAMILY_CODE[family])
     rng = np.random.default_rng(row_seed)
-    protocol_seed = mix64(row_seed, 1)
-    n, m, t, eps, k = (cell["n"], cell["m"], cell["t"], cell["eps"], cell["k"])
-    base = dict(protocol=cfg.protocol, n=n, m=m, t=t, eps=eps, k=k,
-                trial=trial, family=family)
+    base = dict(protocol=cfg.protocol, trial=trial, family=family, **cell)
     start = time.perf_counter()
     try:
-        lam = ""
-        if cfg.protocol in ("closeness", "closeness-secure"):
-            a = dist.uniform_distribution(n)
-            b = a if family == "same" else far_instance(n, eps)
-            alice = dist.sample(a, t, rng)
-            bob = dist.sample(b, t, rng)
-            if cfg.protocol == "closeness":
-                params = CTParams(n=n, t=t, eps=eps,
-                                  **_filtered(cfg.overrides, CTParams))
-                verdict = ct2p_insecure(alice, bob, params, protocol_seed)
-            else:
-                params = SecureCTParams(n=n, t=t, eps=eps, k=k,
-                                        **_filtered(cfg.overrides, SecureCTParams))
-                verdict = ct2p_secure_reference(alice, bob, params, protocol_seed)
-            decision = verdict.decision
-            plaintext = verdict.transcript.total_bits
-            secure = verdict.transcript.modeled_secure_bits
-        elif cfg.protocol in ("independence", "independence-oneway"):
-            joint = (product_joint(dist.uniform_distribution(n),
-                                   dist.uniform_distribution(m))
-                     if family == "product" else diagonal_joint(n, m))
-            alice, bob = joint.sample_joint(t, rng)
-            params = ITParams(n=n, m=m, t=t, eps=eps, k=k,
-                              **_filtered(cfg.overrides, ITParams))
-            run = it2p if cfg.protocol == "independence" else one_way_it2p
-            verdict = run(alice, bob, params, protocol_seed)
-            decision = verdict.decision
-            plaintext = verdict.transcript.total_bits
-            secure = verdict.transcript.modeled_secure_bits
-            lam = f"{verdict.lambda_mean:.3f}"
-        else:  # hardgen: classify reduced instances with the threshold rule
-            params = GHDReductionParams(n=n, t=t,
-                                        **_filtered(cfg.overrides,
-                                                    GHDReductionParams))
-            case = family.upper()
-            inp = ghd_generate_inputs(params.m, case, rng, beta=params.beta)
-            a_vec, b_vec = ghd_reduce(inp, params, rng)
-            delta_sq = float(((a_vec.counts - b_vec.counts) ** 2).sum())
-            decision = distinguish(delta_sq, threshold_tau(n, t, eps))
-            plaintext = secure = 0
+        params = make_params(cfg.protocol, cell, cfg.overrides)
+        alice, bob = proto.instance(cell, family, params, rng)
+        verdict = proto.runner(cell, alice, bob, params, mix64(row_seed, 1))
     except ConfigError as err:
         return ResultRow(**base, status="skipped", reason=str(err))
     elapsed = (time.perf_counter() - start) * 1000
-    return ResultRow(**base, status="ok", verdict=decision.value,
-                     success=int(decision == _EXPECTED[family]),
-                     plaintext_bits=plaintext, secure_bits=secure,
-                     lambda_mean=lam,
+    lam = verdict.lambda_mean
+    return ResultRow(**base, status="ok", verdict=verdict.decision.value,
+                     success=int(verdict.decision == _EXPECTED[family]),
+                     plaintext_bits=verdict.transcript.total_bits,
+                     secure_bits=verdict.transcript.modeled_secure_bits,
+                     lambda_mean="" if lam is None else f"{lam:.3f}",
                      wall_ms=f"{elapsed:.1f}" if cfg.timing else "")
 
 
-def _skip_reason(cfg: ExperimentConfig, cell: dict) -> str | None:
-    """Validate a cell's params eagerly so skips carry the precondition text."""
-    try:
-        if cfg.protocol == "closeness":
-            CTParams(n=cell["n"], t=cell["t"], eps=cell["eps"],
-                     **_filtered(cfg.overrides, CTParams))
-        elif cfg.protocol == "closeness-secure":
-            SecureCTParams(n=cell["n"], t=cell["t"], eps=cell["eps"],
-                           k=cell["k"], **_filtered(cfg.overrides, SecureCTParams))
-        elif cfg.protocol in ("independence", "independence-oneway"):
-            ITParams(n=cell["n"], m=cell["m"], t=cell["t"], eps=cell["eps"],
-                     k=cell["k"], **_filtered(cfg.overrides, ITParams))
-        else:
-            GHDReductionParams(n=cell["n"], t=cell["t"],
-                               **_filtered(cfg.overrides, GHDReductionParams))
-    except ConfigError as err:
-        return str(err)
-    return None
-
-
 def run_experiment(cfg: ExperimentConfig):
-    """Yield ResultRows in (cell, trial, family) order, then summary rows."""
-    cells = []
-    for n in cfg.ns:
-        for m in cfg.ms:
-            for t in cfg.ts:
-                for eps in cfg.epss:
-                    for k in cfg.ks:
-                        cells.append(dict(n=n, m=m, t=t, eps=eps, k=k))
-
-    tasks = []
-    skipped = {}
-    for ci, cell in enumerate(cells):
-        reason = _skip_reason(cfg, cell)
-        if reason is not None:
-            skipped[ci] = reason
+    """Yield ResultRows cell by cell: (trial, family) rows, then summaries."""
+    families = PROTOCOLS[cfg.protocol].families
+    grid = itertools.product(cfg.ns, cfg.ms, cfg.ts, cfg.epss, cfg.ks)
+    for ci, (n, m, t, eps, k) in enumerate(grid):
+        cell = dict(n=n, m=m, t=t, eps=eps, k=k)
+        try:  # validated up front so a skipped row quotes the precondition
+            make_params(cfg.protocol, cell, cfg.overrides)
+        except ConfigError as err:
+            for family in families:
+                yield ResultRow(protocol=cfg.protocol, **cell, trial="",
+                                family=family, status="skipped",
+                                reason=str(err))
             continue
-        for trial in range(cfg.trials):
-            for family in _FAMILIES[cfg.protocol]:
-                tasks.append((ci, cell, trial, family))
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda args: _run_one(cfg, args[0], args[1], args[2], args[3]),
-                tasks))
-    else:
-        results = [_run_one(cfg, *task) for task in tasks]
-
-    by_key = {}
-    for (ci, cell, trial, family), row in zip(tasks, results):
-        by_key[(ci, trial, family)] = row
-
-    for ci, cell in enumerate(cells):
-        if ci in skipped:
-            for family in _FAMILIES[cfg.protocol]:
-                yield ResultRow(protocol=cfg.protocol, n=cell["n"], m=cell["m"],
-                                t=cell["t"], eps=cell["eps"], k=cell["k"],
-                                trial="", family=family, status="skipped",
-                                reason=skipped[ci])
-            continue
-        for trial in range(cfg.trials):
-            for family in _FAMILIES[cfg.protocol]:
-                yield by_key[(ci, trial, family)]
-        for family in _FAMILIES[cfg.protocol]:
-            rows = [by_key[(ci, trial, family)] for trial in range(cfg.trials)]
-            ok = [r for r in rows if r.status == "ok"]
+        rows = [_run_one(cfg, ci, cell, trial, family)
+                for trial in range(cfg.trials) for family in families]
+        yield from rows
+        for family in families:
+            ok = [r for r in rows if r.family == family and r.status == "ok"]
             rate = sum(r.success for r in ok) / len(ok) if ok else 0.0
             yield ResultRow(
-                protocol=cfg.protocol, n=cell["n"], m=cell["m"], t=cell["t"],
-                eps=cell["eps"], k=cell["k"], trial="summary", family=family,
-                status="summary", verdict="",
-                success=f"{rate:.4f}",
+                protocol=cfg.protocol, **cell, trial="summary", family=family,
+                status="summary", success=f"{rate:.4f}",
                 plaintext_bits=_geomean([r.plaintext_bits for r in ok]),
                 secure_bits=_geomean([r.secure_bits for r in ok]))
 
@@ -263,24 +239,25 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in rows:
-        writer.writerow(row.fields())
+        writer.writerow([getattr(row, c) for c in COLUMNS])
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Calibration
 
-_CLOSENESS_GRID = [
-    {"c_alpha": 1 / 16}, {"c_alpha": 1 / 32}, {"c_alpha": 1 / 8},
-    {"c_alpha": 1 / 16, "c_split": 2.0},
-]
-
-_INDEPENDENCE_GRID = [
-    {"big_c": 100.0, "c2": 24.0, "c_eps": 1.35},
-    {"big_c": 100.0, "c2": 16.0, "c_eps": 1.35},
-    {"big_c": 100.0, "c2": 24.0, "c_eps": 1.0},
-    {"big_c": 50.0, "c2": 16.0, "c_eps": 1.2},
-]
+_GRIDS = {
+    "closeness": [
+        {"c_alpha": 1 / 16}, {"c_alpha": 1 / 32}, {"c_alpha": 1 / 8},
+        {"c_alpha": 1 / 16, "c_split": 2.0},
+    ],
+    "independence": [
+        {"big_c": 100.0, "c2": 24.0, "c_eps": 1.35},
+        {"big_c": 100.0, "c2": 16.0, "c_eps": 1.35},
+        {"big_c": 100.0, "c2": 24.0, "c_eps": 1.0},
+        {"big_c": 50.0, "c2": 16.0, "c_eps": 1.2},
+    ],
+}
 
 
 def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
@@ -296,58 +273,35 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
         raise ConfigError(
             f"alphabet n={n} too small to calibrate: the precondition sample "
             f"bound {baseline:.0f} exceeds the domain scale n^2={n ** 2}")
-    if protocol == "closeness":
-        grid = _CLOSENESS_GRID
-
-        def rates(consts):
-            probe = dict(n=n, t=10 ** 9, eps=eps, **consts)
-            t = math.ceil(CTParams(**probe).min_samples())
-            cfg = ExperimentConfig(protocol="closeness", ns=(n,), ts=(t,),
-                                   epss=(eps,), trials=trials, seed=seed,
-                                   overrides=consts)
-            return _summary_rates(cfg)
-    elif protocol == "independence":
-        grid = _INDEPENDENCE_GRID
-
-        def rates(consts):
-            probe = ITParams(n=n, m=n, t=10 ** 9, eps=eps, k=k, **consts)
-            t = math.ceil(probe.min_samples())
-            cfg = ExperimentConfig(protocol="independence", ns=(n,), ms=(n,),
-                                   ts=(t,), epss=(eps,), ks=(k,),
-                                   trials=trials, seed=seed, overrides=consts)
-            return _summary_rates(cfg)
-    else:
+    if protocol not in _GRIDS:
         raise ConfigError(f"no calibration defined for {protocol!r}")
-
     best = None
-    for consts in grid:
+    probe = dict(n=n, m=n, t=10 ** 9, eps=eps, k=k)
+    for consts in _GRIDS[protocol]:
         try:
-            got = rates(consts)
+            t = math.ceil(make_params(protocol, probe, consts).min_samples())
         except ConfigError:
             continue
-        if got is None:
-            continue
-        lo = min(got)
-        if lo >= 0.75 and (best is None or lo > best[3]):
-            best = (consts, got[0], got[1], lo)
-    if best is None:
-        return None
-    return best[0], best[1], best[2]
-
-
-def _summary_rates(cfg: ExperimentConfig):
-    rates = {}
-    for row in run_experiment(cfg):
-        if row.status == "summary":
-            rates[row.family] = float(row.success)
-        elif row.status == "skipped":
-            return None
-    families = _FAMILIES[cfg.protocol]
-    return tuple(rates[f] for f in families)
+        cfg = ExperimentConfig(protocol=protocol, ns=(n,), ms=(n,), ts=(t,),
+                               epss=(eps,), ks=(k,), trials=trials, seed=seed,
+                               overrides=consts)
+        rates = [float(row.success) for row in run_experiment(cfg)
+                 if row.status == "summary"]
+        if rates and min(rates) >= 0.75 and (
+                best is None or min(rates) > min(best[1:])):
+            best = (consts, *rates)
+    return best
 
 
 def fixture_to_text(constants: dict) -> str:
     return "".join(f"{name},{value!r}\n" for name, value in sorted(constants.items()))
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{text!r} is not a number") from None
 
 
 def fixture_from_text(text: str) -> dict:
@@ -356,38 +310,43 @@ def fixture_from_text(text: str) -> dict:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, value = line.split(",", 1)
-        out[name] = float(value)
+        name, comma, value = line.partition(",")
+        if not comma:
+            raise ConfigError(f"bad constants line {line!r}, expected NAME,VALUE")
+        out[name] = _float(value)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Instance files
 
+_HARD_CASES = {"ghd": ("SAME", "FAR"), "bhh": ("PRODUCT", "FAR")}
+
+
 def write_hard_instance(path: str, kind: str, case: str, n: int, t: int,
                         seed: int, overrides: dict | None = None) -> None:
-    rng = np.random.default_rng(mix64(seed, 0xF11E))
-    lines = [f"case={case} n={n} t={t} seed={seed}"]
-    if kind == "ghd":
-        params = GHDReductionParams(n=n, t=t, **(overrides or {}))
-        inp = ghd_generate_inputs(params.m, case, rng, beta=params.beta)
-        a_vec, b_vec = ghd_reduce(inp, params, rng)
-        lines.append("A")
-        lines.append(dist.occurrence_to_text(a_vec).rstrip("\n"))
-        lines.append("B")
-        lines.append(dist.occurrence_to_text(b_vec).rstrip("\n"))
-    elif kind == "bhh":
-        bit = 1 if case == "PRODUCT" else 0
-        inst = bhh_generate(n, bit, rng)
-        alice, bob = bhh_reduce(inst, t, rng)
-        lines.append("A")
-        lines.append("".join(f"{i} {int(v)}\n"
-                             for i, v in enumerate(alice.letters)).rstrip("\n"))
-        lines.append("B")
-        lines.append("".join(f"{i} {int(v)}\n"
-                             for i, v in enumerate(bob.letters)).rstrip("\n"))
-    else:
+    """Write a GHD (SAME or FAR) or BHH (PRODUCT or FAR) instance file."""
+    if kind not in _HARD_CASES:
         raise ConfigError(f"unknown hard-instance kind {kind!r}")
+    if case not in _HARD_CASES[kind]:
+        raise ConfigError(f"{kind} case must be "
+                          f"{' or '.join(_HARD_CASES[kind])}, not {case!r}")
+    rng = np.random.default_rng(mix64(seed, 0xF11E))
+    try:
+        if kind == "ghd":
+            params = make_params("hardgen", dict(n=n, t=t), overrides or {})
+            a_vec, b_vec = _ghd_pair(case, params, rng)
+            texts = [dist.occurrence_to_text(v) for v in (a_vec, b_vec)]
+        else:
+            if overrides:
+                raise ConfigError("bhh instances take no constants")
+            inst = bhh_generate(n, 1 if case == "PRODUCT" else 0, rng)
+            texts = ["".join(f"{i} {int(v)}\n" for i, v in enumerate(s.letters))
+                     for s in bhh_reduce(inst, t, rng)]
+    except ValueError as err:  # the generators' own argument checks
+        raise ConfigError(str(err)) from err
+    lines = [f"case={case} n={n} t={t} seed={seed}",
+             "A", texts[0].rstrip("\n"), "B", texts[1].rstrip("\n")]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,21 +354,13 @@ def write_hard_instance(path: str, kind: str, case: str, n: int, t: int,
 # ---------------------------------------------------------------------------
 # argparse front end
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=20)
-    sub.add_argument("--out", type=str, default="-")
-    sub.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
-                     help="override a protocol constant")
-
-
 def _parse_overrides(pairs) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"bad override {pair!r}, expected NAME=VALUE")
         name, value = pair.split("=", 1)
-        number = float(value)
+        number = _float(value)
         out[name] = int(number) if number.is_integer() else number
     return out
 
@@ -420,26 +371,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-party distribution testing experiments")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    close = subs.add_parser("closeness", help="closeness tester trials")
-    close.add_argument("--n", type=int, required=True)
-    close.add_argument("--t", type=int, required=True)
-    close.add_argument("--eps", type=float, default=1.0)
-    close.add_argument("--secure", action="store_true")
-    close.add_argument("--k", type=int, default=2)
-    _add_common(close)
+    trials = argparse.ArgumentParser(add_help=False)  # one cell, per-trial CSV
+    trials.add_argument("--n", type=int, required=True)
+    trials.add_argument("--t", type=int, required=True)
+    trials.add_argument("--eps", type=float, default=1.0)
+    trials.add_argument("--k", type=int, default=2)
+    trials.add_argument("--seed", type=int, default=0)
+    trials.add_argument("--trials", type=int, default=20)
+    trials.add_argument("--out", type=str, default="-")
+    trials.add_argument("--set", action="append", default=[],
+                        metavar="NAME=VALUE", help="override a protocol constant")
 
-    indep = subs.add_parser("independence", help="independence tester trials")
-    indep.add_argument("--n", type=int, required=True)
+    close = subs.add_parser("closeness", parents=[trials],
+                            help="closeness tester trials")
+    close.add_argument("--secure", action="store_true")
+    indep = subs.add_parser("independence", parents=[trials],
+                            help="independence tester trials")
     indep.add_argument("--m", type=int, required=True)
-    indep.add_argument("--t", type=int, required=True)
-    indep.add_argument("--eps", type=float, default=1.0)
-    indep.add_argument("--k", type=int, default=2)
     indep.add_argument("--one-way", action="store_true")
-    _add_common(indep)
 
     hard = subs.add_parser("hardgen", help="emit a hard-instance file")
     hard.add_argument("--kind", choices=("ghd", "bhh"), default="ghd")
-    hard.add_argument("--case", choices=("SAME", "FAR", "PRODUCT"), required=True)
+    hard.add_argument("--case", choices=("SAME", "FAR", "PRODUCT"), required=True,
+                      help="ghd: SAME or FAR; bhh: PRODUCT or FAR")
     hard.add_argument("--n", type=int, required=True)
     hard.add_argument("--t", type=int, required=True)
     hard.add_argument("--seed", type=int, default=0)
@@ -460,14 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fixture file of constant overrides")
     run.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
     run.add_argument("--timing", action="store_true")
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--calibrate", action="store_true",
-                     help="calibrate constants for the first grid cell "
-                          "instead of sweeping")
 
     cal = subs.add_parser("calibrate", help="grid-search protocol constants")
-    cal.add_argument("--protocol", choices=("closeness", "independence"),
-                     required=True)
+    cal.add_argument("--protocol", choices=tuple(_GRIDS), required=True)
     cal.add_argument("--n", type=int, required=True)
     cal.add_argument("--eps", type=float, default=1.0)
     cal.add_argument("--k", type=int, default=2)
@@ -485,30 +434,23 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _simple_trials(args, secure_or_oneway: bool, protocol_pair) -> str:
-    """Shared body of the closeness/independence subcommands."""
-    protocol = protocol_pair[1] if secure_or_oneway else protocol_pair[0]
-    m = getattr(args, "m", 0)
-    cfg = ExperimentConfig(protocol=protocol, ns=(args.n,), ms=(m,),
-                           ts=(args.t,), epss=(args.eps,),
-                           ks=(getattr(args, "k", 1),), trials=args.trials,
+_TRIAL_COLUMNS = ["trial", "family", "verdict", "plaintext_bits", "secure_bits"]
+
+
+def _simple_trials(args, protocol: str, columns: list) -> str:
+    """Per-trial CSV of the closeness and independence subcommands."""
+    cfg = ExperimentConfig(protocol=protocol, ns=(args.n,),
+                           ms=(getattr(args, "m", 0),), ts=(args.t,),
+                           epss=(args.eps,), ks=(args.k,), trials=args.trials,
                            seed=args.seed, overrides=_parse_overrides(args.set))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["trial", "instance", "verdict", "plaintext_bits", "secure_bits"]
-    if protocol.startswith("independence"):
-        header.append("lambda_mean")
-    writer.writerow(header)
+    writer.writerow(["instance" if c == "family" else c for c in columns])
     for row in run_experiment(cfg):
         if row.status == "skipped":
             raise ConfigError(row.reason)
-        if row.status != "ok":
-            continue
-        record = [row.trial, row.family, row.verdict, row.plaintext_bits,
-                  row.secure_bits]
-        if protocol.startswith("independence"):
-            record.append(row.lambda_mean)
-        writer.writerow(record)
+        if row.status == "ok":
+            writer.writerow([getattr(row, c) for c in columns])
     return buf.getvalue()
 
 
@@ -517,13 +459,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "closeness":
-            text = _simple_trials(args, args.secure,
-                                  ("closeness", "closeness-secure"))
-            _emit(text, args.out)
+            protocol = "closeness-secure" if args.secure else "closeness"
+            _emit(_simple_trials(args, protocol, _TRIAL_COLUMNS), args.out)
         elif args.command == "independence":
-            text = _simple_trials(args, args.one_way,
-                                  ("independence", "independence-oneway"))
-            _emit(text, args.out)
+            protocol = "independence-oneway" if args.one_way else "independence"
+            _emit(_simple_trials(args, protocol, _TRIAL_COLUMNS + ["lambda_mean"]),
+                  args.out)
         elif args.command == "hardgen":
             write_hard_instance(args.out, args.kind, args.case, args.n, args.t,
                                 args.seed, _parse_overrides(args.set))
@@ -532,24 +473,11 @@ def main(argv=None) -> int:
             if args.constants:
                 with open(args.constants) as fh:
                     overrides = {**fixture_from_text(fh.read()), **overrides}
-            if args.calibrate:
-                base = args.protocol.split("-")[0]
-                got = calibrate(base, args.n[0], args.eps[0], args.seed,
-                                trials=args.trials, k=args.k[0])
-                if got is None:
-                    sys.stderr.write("calibration infeasible: no grid point "
-                                     "reached 0.75/0.75\n")
-                    return 3
-                constants, same_rate, far_rate = got
-                _emit(fixture_to_text(constants)
-                      + f"# rates,{same_rate:.3f},{far_rate:.3f}\n", args.out)
-                return 0
             cfg = ExperimentConfig(protocol=args.protocol, ns=tuple(args.n),
                                    ms=tuple(args.m), ts=tuple(args.t),
                                    epss=tuple(args.eps), ks=tuple(args.k),
                                    trials=args.trials, seed=args.seed,
-                                   overrides=overrides, timing=args.timing,
-                                   workers=args.workers)
+                                   overrides=overrides, timing=args.timing)
             _emit(rows_to_csv(run_experiment(cfg)), args.out)
         elif args.command == "calibrate":
             got = calibrate(args.protocol, args.n, args.eps, args.seed,
@@ -559,10 +487,9 @@ def main(argv=None) -> int:
                     "calibration infeasible: no grid point reached 0.75/0.75\n")
                 return 3
             constants, same_rate, far_rate = got
-            text = fixture_to_text(constants) + \
-                f"# rates,{same_rate:.3f},{far_rate:.3f}\n"
-            _emit(text, args.out)
-    except ConfigError as err:
+            _emit(fixture_to_text(constants)
+                  + f"# rates,{same_rate:.3f},{far_rate:.3f}\n", args.out)
+    except (ConfigError, OSError) as err:  # OSError: --constants or --out path
         sys.stderr.write(f"config error: {err}\n")
         return 2
     return 0

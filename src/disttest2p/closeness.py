@@ -43,6 +43,8 @@ from .harness import (
     SharedRandomness,
     Transcript,
     Verdict,
+    require_positive,
+    resolve_votes,
     run_protocol,
     trusted_evaluate,
 )
@@ -98,10 +100,7 @@ class CTParams:
             raise ConfigError("eps must be in (0, 2]")
         if not 0 < self.sketch_delta < 1:
             raise ConfigError("sketch_delta must be in (0, 1)")
-        for name in ("c_alpha", "c_split", "big_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive")
+        require_positive(self, "c_alpha", "c_split", "big_c")
         if self.t < self.min_samples():
             raise ConfigError(
                 f"t={self.t} below precondition "
@@ -325,9 +324,11 @@ class SecureCTParams:
             raise ConfigError("security parameter must be at least 1")
         if not 0 < self.eps <= 2:
             raise ConfigError("eps must be in (0, 2]")
-        if self.votes == 0:
-            object.__setattr__(self, "votes",
-                               self.k if self.k % 2 == 1 else self.k + 1)
+        require_positive(self, "big_c", "c", "c_a", "c_l")
+        if not (math.isfinite(self.rotation_flatness)
+                and self.rotation_flatness >= 1):
+            raise ConfigError("rotation_flatness must be finite and at least 1")
+        resolve_votes(self)
         minimum = self.big_c * self.k * max(
             self.n ** (2 / 3) * self.eps ** (-4 / 3),
             math.sqrt(self.n) * self.eps ** (-2))

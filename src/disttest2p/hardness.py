@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import IndexedSampleSet, OccurrenceVector
-from .harness import ConfigError
+from .harness import ConfigError, require_positive
 
 
 def poisson_pmf(i: int, lam: float) -> float:
@@ -119,6 +119,13 @@ class GHDReductionParams:
             raise ConfigError("need n >= 10 so the dense support is non-empty")
         if self.t < 1:
             raise ConfigError("need t >= 1")
+        require_positive(self, "big_c")
+        for name in ("m", "l_big", "beta"):  # 0 means the default formula
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative")
+            if name != "beta" and not float(value).is_integer():
+                raise ConfigError(f"{name} must be an integer")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "l_big", int(self.l_big))
         object.__setattr__(self, "beta", float(self.beta))

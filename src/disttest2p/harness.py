@@ -33,6 +33,24 @@ class EvaluationError(RuntimeError):
     """Trusted evaluation failed (e.g. lookup index out of bounds)."""
 
 
+def require_positive(params, *names: str) -> None:
+    """Refuse a params object unless each named constant is finite and > 0."""
+    for name in names:
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive")
+
+
+def resolve_votes(params) -> None:
+    """Refuse a ``votes`` that is not a count; 0 becomes ``k`` rounded up to odd."""
+    votes, k = params.votes, params.k
+    if not (math.isfinite(votes) and votes >= 0 and float(votes).is_integer()):
+        raise ConfigError("votes must be a nonnegative integer")
+    if votes == 0:
+        votes = k if k % 2 == 1 else k + 1
+    object.__setattr__(params, "votes", int(votes))
+
+
 class Decision(str, Enum):
     SAME = "SAME"
     FAR = "FAR"

@@ -30,11 +30,14 @@ from .harness import (
     CircuitSpec,
     ConfigError,
     Decision,
+    ProtocolError,
     Recv,
     Send,
     SharedRandomness,
     Transcript,
     Verdict,
+    require_positive,
+    resolve_votes,
     run_protocol,
     trusted_evaluate,
 )
@@ -196,9 +199,8 @@ class ITParams:
             raise ConfigError("eps must be in (0, 2]")
         if self.k < 1:
             raise ConfigError("security parameter must be at least 1")
-        if self.votes == 0:
-            object.__setattr__(self, "votes",
-                               self.k if self.k % 2 == 1 else self.k + 1)
+        require_positive(self, "big_c", "c1", "c2", "c3", "c_eps")
+        resolve_votes(self)
         if self.t < self.min_samples():
             raise ConfigError(
                 f"t={self.t} below precondition C*k*(n^(2/3) m^(1/3) eps^(-4/3)"
@@ -276,30 +278,68 @@ def _blocks(letters: np.ndarray, t_prime: int, count: int) -> list[np.ndarray]:
     return [letters[i * t_prime:(i + 1) * t_prime] for i in range(count)]
 
 
-def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
-                   bq_block, params: ITParams, shared: SharedRandomness
-                   ) -> Repetition:
-    n, m, tp = params.n, params.m, params.t_prime
-    s_a = Multiset.from_letters(a_split_block[:min(tp, n)], n)
-    s_b = Multiset.from_letters(b_split_block[:m], m)
-    sm_a = split_map(s_a, n)
-    sm_b = split_map(s_b, m)
-    n_a = sm_a.total_letters
-    m_b = sm_b.total_letters
-
-    a = split_samples(IndexedSampleSet(a_block, n), sm_a,
+def _recast_alice(rep: int, split_block, block, params: ITParams,
+                  shared: SharedRandomness):
+    """Alice's split map from one block and her next block recast onto it,
+    with the recast samples' per-letter index sets."""
+    n = params.n
+    sm_a = split_map(Multiset.from_letters(split_block[:min(params.t_prime, n)],
+                                           n), n)
+    a = split_samples(IndexedSampleSet(block, n), sm_a,
                       shared.stream("alice-recast", rep))
+    return sm_a, a, indices_set_vector(a, sm_a.total_letters)
+
+
+def _recast_bob(rep: int, split_block, bp_block, bq_block, params: ITParams,
+                shared: SharedRandomness):
+    """Bob's split map and his joint (p) and product (q) blocks recast onto it."""
+    m = params.m
+    sm_b = split_map(Multiset.from_letters(split_block[:m], m), m)
     b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
                         shared.stream("bob-recast-p", rep))
     b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,
                         shared.stream("bob-recast-q", rep))
+    return sm_b, b_p, b_q
 
-    isv = indices_set_vector(a, n_a)
+
+def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
+               params: ITParams):
+    """Pair, gate on the collision norms, compare the exact distance with tau.
+
+    ``perm`` is a shuffled pool of indices into the three letter arrays; its
+    first four quarters pair Alice's letters with the joint block (p) and
+    the product block (q).  Returns ``(subsets, chi, delta, tau, vote)``.
+    """
+    size = min(params.subset_budget, perm.size // 4)
+    subsets = tuple(perm[q * size:(q + 1) * size] for q in range(4))
+    i_p, i_q, j_p, j_q = subsets
+    x1 = _pair_codes(a_letters[i_p], bp_letters[i_p], m_b)
+    y1 = _pair_codes(a_letters[i_q], bq_letters[i_q], m_b)
+    x2 = _pair_codes(a_letters[j_p], bp_letters[j_p], m_b)
+    y2 = _pair_codes(a_letters[j_q], bq_letters[j_q], m_b)
+    if size >= 2:
+        chi = norm_estimates_agree(collision_norm_estimate(x1),
+                                   collision_norm_estimate(y1), size)
+    else:
+        chi = True
+    delta = _exact_distance_sq(x2, y2)
+    tau = threshold_tau(max(1, lam * params.m), size, params.eps_reduced)
+    vote = Decision.SAME if (chi and delta <= tau) else Decision.FAR
+    return subsets, chi, delta, tau, vote
+
+
+def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
+                   bq_block, params: ITParams, shared: SharedRandomness
+                   ) -> Repetition:
+    sm_a, a, isv = _recast_alice(rep, a_split_block, a_block, params, shared)
+    sm_b, b_p, b_q = _recast_bob(rep, b_split_block, bp_block, bq_block, params,
+                                 shared)
+    n_a = sm_a.total_letters
     gamma = isv.nonempty_letters()
     ell = min(params.ell_target, n_a)
     rng = shared.stream("reduction", rep)
     lam = min(usi_sample(n_a, gamma.size, ell, rng),
-              math.ceil(100.0 * tp * ell / n))
+              math.ceil(100.0 * params.t_prime * ell / params.n))
 
     abstain = Repetition(sm_a, sm_b, a.letters, b_p.letters, b_q.letters,
                          gamma, lam, np.empty(0, np.int64),
@@ -308,31 +348,15 @@ def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
     if lam == 0:
         return abstain
     chosen = np.sort(rng.choice(gamma, size=lam, replace=False))
-    pool = np.concatenate([isv[j] for j in chosen]) if lam else np.empty(0, np.int64)
+    pool = np.concatenate([isv[j] for j in chosen])
     if pool.size < 4:
         return abstain
-
-    size = min(params.subset_budget, pool.size // 4)
-    perm = rng.permutation(pool)
-    subsets = tuple(perm[q * size:(q + 1) * size] for q in range(4))
-    i_p, i_q, j_p, j_q = subsets
-
-    x1 = _pair_codes(a.letters[i_p], b_p.letters[i_p], m_b)
-    y1 = _pair_codes(a.letters[i_q], b_q.letters[i_q], m_b)
-    x2 = _pair_codes(a.letters[j_p], b_p.letters[j_p], m_b)
-    y2 = _pair_codes(a.letters[j_q], b_q.letters[j_q], m_b)
-
-    if size >= 2:
-        chi = norm_estimates_agree(collision_norm_estimate(x1),
-                                   collision_norm_estimate(y1), size)
-    else:
-        chi = True
-    delta = _exact_distance_sq(x2, y2)
-    tau = threshold_tau(max(1, lam * m), size, params.eps_reduced)
-    vote = Decision.SAME if (chi and delta <= tau) else Decision.FAR
+    subsets, chi, delta, tau, vote = _pair_vote(
+        rng.permutation(pool), a.letters, b_p.letters, b_q.letters,
+        sm_b.total_letters, lam, params)
     return Repetition(sm_a, sm_b, a.letters, b_p.letters, b_q.letters, gamma,
-                      lam, chosen, pool, subsets, size, chi, delta, tau,
-                      False, vote)
+                      lam, chosen, pool, subsets, subsets[0].size, chi, delta,
+                      tau, False, vote)
 
 
 def _majority(votes: list[Decision]) -> Decision:
@@ -387,37 +411,65 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 
+def _decode_oneway(payload: bytes, reps: int, t_prime: int) -> list:
+    """Bob's parse of Alice's message into ``(lam, pool, letters)`` per repetition.
+
+    A repetition is ``<u4 lam`` and, when ``lam > 0``, ``<u4 pool_size``, the
+    pool's sample indices (``<u4``, each below ``t_prime``) and Alice's split
+    letters at them (``<u2``).  Every live letter owns an index, so
+    ``pool_size >= lam``.
+    """
+    offset = 0
+
+    def take(count: int, dtype: str) -> np.ndarray:
+        nonlocal offset
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(payload):
+            raise ProtocolError("truncated one-way payload")
+        values = np.frombuffer(payload, dtype, count, offset).astype(np.int64)
+        offset = end
+        return values
+
+    out = []
+    for _ in range(reps):
+        lam = int(take(1, "<u4")[0])
+        pool_size = int(take(1, "<u4")[0]) if lam else 0
+        if pool_size < lam:
+            raise ProtocolError(f"pool of {pool_size} indices for {lam} letters")
+        pool, letters = take(pool_size, "<u4"), take(pool_size, "<u2")
+        if pool.size and pool.max() >= t_prime:
+            raise ProtocolError("pool index out of range")
+        out.append((lam, pool, letters))
+    if offset != len(payload):
+        raise ProtocolError("trailing bytes after the one-way payload")
+    return out
+
+
 def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
                  params: ITParams, seed: int) -> Verdict:
     """One-round variant: Alice ships her restricted samples, Bob decides."""
     _check_inputs(alice, bob, params)
     shared = SharedRandomness(seed)
-    n, m, tp, reps = params.n, params.m, params.t_prime, params.votes
-    lam_holder = []
+    tp, reps = params.t_prime, params.votes
 
     def alice_program():
         a_blocks = _blocks(alice.letters, tp, 3 * reps)
         chunks = []
         for i in range(reps):
-            s_a = Multiset.from_letters(a_blocks[3 * i][:min(tp, n)], n)
-            sm_a = split_map(s_a, n)
+            sm_a, a, isv = _recast_alice(i, a_blocks[3 * i], a_blocks[3 * i + 1],
+                                         params, shared)
             n_a = sm_a.total_letters
             if n_a >= 1 << 16:
                 raise ConfigError("split alphabet too large for wire format")
-            a = split_samples(IndexedSampleSet(a_blocks[3 * i + 1], n), sm_a,
-                              shared.stream("alice-recast", i))
-            isv = indices_set_vector(a, n_a)
-            gamma = isv.nonempty_letters()
             ell = min(params.ell_target, n_a)
             universe = shared.stream("oneway-universe", i).choice(
                 n_a, size=ell, replace=False)
-            live = np.intersect1d(gamma, universe)
-            lam = live.size
-            if lam == 0:
+            live = np.intersect1d(isv.nonempty_letters(), universe)
+            if live.size == 0:
                 chunks.append(struct.pack("<I", 0))
                 continue
             pool = np.concatenate([isv[j] for j in live])
-            chunks.append(struct.pack("<II", lam, pool.size))
+            chunks.append(struct.pack("<II", live.size, pool.size))
             chunks.append(np.ascontiguousarray(pool, dtype="<u4").tobytes())
             chunks.append(np.ascontiguousarray(
                 a.letters[pool], dtype="<u2").tobytes())
@@ -426,58 +478,21 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
 
     def bob_program():
         payload = yield Recv()
+        received = _decode_oneway(payload, reps, tp)
         b_blocks = _blocks(bob.letters, tp, 3 * reps)
-        offset = 0
         votes = []
-        lams = []
-        for i in range(reps):
-            (lam,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            lams.append(lam)
-            if lam == 0:
+        for i, (lam, pool, a_letters) in enumerate(received):
+            if pool.size < 4:
                 votes.append(Decision.SAME)
                 continue
-            (pool_size,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            pool = np.frombuffer(payload, dtype="<u4", count=pool_size,
-                                 offset=offset).astype(np.int64)
-            offset += 4 * pool_size
-            a_letters = np.frombuffer(payload, dtype="<u2", count=pool_size,
-                                      offset=offset).astype(np.int64)
-            offset += 2 * pool_size
-            if pool_size < 4:
-                votes.append(Decision.SAME)
-                continue
-            s_b = Multiset.from_letters(b_blocks[3 * i][:m], m)
-            sm_b = split_map(s_b, m)
-            b_p = split_samples(IndexedSampleSet(b_blocks[3 * i + 1], m), sm_b,
-                                shared.stream("bob-recast-p", i))
-            b_q = split_samples(IndexedSampleSet(b_blocks[3 * i + 2], m), sm_b,
-                                shared.stream("bob-recast-q", i))
-            rng = shared.stream("oneway-bob", i)
-            size = min(params.subset_budget, pool.size // 4)
-            order = rng.permutation(pool.size)
-            quarters = [order[q * size:(q + 1) * size] for q in range(4)]
-            m_b = sm_b.total_letters
+            sm_b, b_p, b_q = _recast_bob(i, *b_blocks[3 * i:3 * i + 3], params,
+                                         shared)
+            perm = shared.stream("oneway-bob", i).permutation(pool.size)
+            votes.append(_pair_vote(perm, a_letters, b_p.letters[pool],
+                                    b_q.letters[pool], sm_b.total_letters, lam,
+                                    params)[-1])
+        return _majority(votes), float(np.mean([lam for lam, _, _ in received]))
 
-            def codes(sel, b_letters):
-                return _pair_codes(a_letters[sel], b_letters[pool[sel]], m_b)
-
-            x1 = codes(quarters[0], b_p.letters)
-            y1 = codes(quarters[1], b_q.letters)
-            x2 = codes(quarters[2], b_p.letters)
-            y2 = codes(quarters[3], b_q.letters)
-            if size >= 2:
-                chi = norm_estimates_agree(collision_norm_estimate(x1),
-                                           collision_norm_estimate(y1), size)
-            else:
-                chi = True
-            delta = _exact_distance_sq(x2, y2)
-            tau = threshold_tau(max(1, lam * m), size, params.eps_reduced)
-            votes.append(Decision.SAME if (chi and delta <= tau)
-                         else Decision.FAR)
-        lam_holder.append(float(np.mean(lams)))
-        return _majority(votes)
-
-    _, bob_out, transcript = run_protocol(alice_program(), bob_program())
-    return Verdict(bob_out, transcript, lambda_mean=lam_holder[0])
+    _, (decision, lam_mean), transcript = run_protocol(alice_program(),
+                                                       bob_program())
+    return Verdict(decision, transcript, lambda_mean=lam_mean)

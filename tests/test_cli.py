@@ -1,5 +1,7 @@
 """Experiment driver: schemas, determinism, skips, fixtures, instance files."""
 
+import pathlib
+
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
@@ -9,6 +11,8 @@ from disttest2p.cli import (
     rows_to_csv,
     run_experiment,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def small_cfg(**kw):
@@ -32,11 +36,6 @@ class TestRunExperiment:
         b = rows_to_csv(run_experiment(small_cfg()))
         assert a == b
 
-    def test_workers_do_not_change_output(self):
-        a = rows_to_csv(run_experiment(small_cfg()))
-        b = rows_to_csv(run_experiment(small_cfg(workers=4)))
-        assert a == b
-
     def test_skipped_cell_reports_reason(self):
         rows = list(run_experiment(small_cfg(ts=(10,))))
         assert all(r.status == "skipped" for r in rows)
@@ -49,12 +48,19 @@ class TestRunExperiment:
 
     def test_golden_file(self):
         # downstream parsers pin this exact output; regenerate deliberately
-        # if the schema ever changes
-        import pathlib
-        golden = pathlib.Path(__file__).parent / "data" / "golden_closeness.csv"
-        cfg = ExperimentConfig(protocol="closeness", ns=(200,), ts=(274,),
-                               epss=(1.0,), trials=2, seed=424242)
-        assert rows_to_csv(run_experiment(cfg)) == golden.read_text()
+        # if the schema ever changes.  The one-way file also pins the
+        # independence kernel and its wire format (its bits vary per row).
+        goldens = {
+            "golden_closeness.csv": ExperimentConfig(
+                protocol="closeness", ns=(200,), ts=(274,), epss=(1.0,),
+                trials=2, seed=424242),
+            "golden_independence_oneway.csv": ExperimentConfig(
+                protocol="independence-oneway", ns=(100,), ms=(100,),
+                ts=(40000,), epss=(1.0,), ks=(2,), trials=2, seed=424242),
+        }
+        for name, cfg in goldens.items():
+            golden = DATA / name
+            assert rows_to_csv(run_experiment(cfg)) == golden.read_text(), name
 
     def test_independence_lambda_column(self):
         cfg = ExperimentConfig(protocol="independence", ns=(20,), ms=(20,),
@@ -143,6 +149,85 @@ class TestMain:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]
+GHD_CONSTANTS = ["--set", "m=32", "--set", "beta=8", "--set", "l_big=62"]
+
+
+class TestBadInput:
+    """Each bad input exits 2 with a single ``config error:`` line."""
+
+    @staticmethod
+    def refused(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        return err
+
+    def test_misspelled_constant(self, capsys):
+        err = self.refused(capsys, ["run", "--protocol", "closeness", "--n",
+                                    "200", "--t", "274", "--set", "c_alhpa=0.5"])
+        assert "'c_alhpa'" in err and "c_alpha" in err
+
+    def test_constant_of_another_protocol(self, capsys):
+        self.refused(capsys, ["closeness", "--n", "200", "--t", "274",
+                              "--set", "votes=3"])
+
+    def test_derived_field_is_not_a_constant(self, capsys, tmp_path):
+        out = str(tmp_path / "inst.txt")
+        self.refused(capsys, HARDGEN + ["--out", out, "--case", "FAR",
+                                        "--set", "d=5"])
+        self.refused(capsys, ["run", "--protocol", "hardgen", "--n", "2000",
+                              "--t", "62", "--set", "d=5"])
+
+    def test_non_numeric_value(self, capsys):
+        err = self.refused(capsys, ["run", "--protocol", "closeness", "--n",
+                                    "200", "--t", "274", "--set", "c_alpha=abc"])
+        assert "'abc'" in err
+
+    def test_constants_line_without_comma(self, capsys, tmp_path):
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("c_alpha 0.0625\n")
+        self.refused(capsys, ["run", "--protocol", "closeness", "--n", "200",
+                              "--t", "274", "--constants", str(fixture)])
+
+    def test_missing_constants_file_or_out_dir(self, capsys, tmp_path):
+        run = ["run", "--protocol", "closeness", "--n", "200", "--t", "274"]
+        err = self.refused(capsys, run + ["--constants",
+                                          str(tmp_path / "missing.csv")])
+        assert "missing.csv" in err
+        err = self.refused(capsys, run + ["--out",
+                                          str(tmp_path / "no-dir" / "rows.csv")])
+        assert "no-dir" in err
+
+    def test_ghd_product_case(self, capsys, tmp_path):
+        out = tmp_path / "inst.txt"
+        self.refused(capsys, HARDGEN + GHD_CONSTANTS + [
+            "--kind", "ghd", "--case", "PRODUCT", "--out", str(out)])
+        assert not out.exists()
+
+    def test_bhh_same_case(self, capsys, tmp_path):
+        out = tmp_path / "inst.txt"
+        self.refused(capsys, HARDGEN + ["--kind", "bhh", "--case", "SAME",
+                                        "--out", str(out)])
+        assert not out.exists()
+        assert main(HARDGEN + ["--kind", "bhh", "--case", "PRODUCT",
+                               "--out", str(out)]) == 0
+        assert out.read_text().startswith("case=PRODUCT n=2000 t=62 seed=3\nA\n")
+
+    def test_generator_argument_error(self, capsys, tmp_path):
+        # bhh_generate's own ValueError (odd n) surfaces as a config error
+        self.refused(capsys, ["hardgen", "--kind", "bhh", "--case", "FAR",
+                              "--n", "7", "--t", "62",
+                              "--out", str(tmp_path / "inst.txt")])
+
+    def test_negative_independence_constant(self, capsys):
+        # tau squares eps_reduced, so only the params check sees the sign
+        err = self.refused(capsys, ["independence", "--n", "20", "--m", "20",
+                                    "--t", "8000", "--trials", "1",
+                                    "--set", "c_eps=-1"])
+        assert "c_eps" in err
+
+
 class TestCalibrate:
     def test_degenerate_alphabet_refused(self, capsys):
         code = main(["calibrate", "--protocol", "closeness", "--n", "2",
@@ -156,14 +241,6 @@ class TestCalibrate:
         out = capsys.readouterr().out
         assert "c_alpha," in out
         assert "# rates," in out
-
-    def test_run_calibrate_flag(self, tmp_path, capsys):
-        out = tmp_path / "fixture.csv"
-        code = main(["run", "--protocol", "closeness", "--n", "100",
-                     "--t", "172", "--trials", "8", "--seed", "1",
-                     "--calibrate", "--out", str(out)])
-        assert code == 0
-        assert "c_alpha," in out.read_text()
 
     def test_infeasible_calibration_exit_code(self, monkeypatch, capsys):
         import disttest2p.cli as cli_module

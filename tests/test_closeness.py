@@ -88,6 +88,15 @@ class TestParams:
         with pytest.raises(ConfigError):
             CTParams(n=200, t=300, eps=1.0, **override)
 
+    @pytest.mark.parametrize("override", [
+        {"big_c": 0.0}, {"big_c": math.nan}, {"c": -64.0}, {"c": math.inf},
+        {"c_a": 0.0}, {"c_l": math.nan}, {"rotation_flatness": 0},
+        {"rotation_flatness": math.nan}, {"votes": 2.5}, {"votes": -1},
+    ])
+    def test_bad_secure_constants_refused(self, override):
+        with pytest.raises(ConfigError):
+            SecureCTParams(n=200, t=1095, eps=1.0, k=4, **override)
+
 
 class TestFarInstance:
     def test_exact_distance_paired(self):

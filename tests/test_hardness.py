@@ -88,6 +88,15 @@ class TestReductionParams:
         with pytest.raises(ConfigError):
             GHDReductionParams(n=2000, t=62, m=32, beta=9.0, l_big=62)
 
+    @pytest.mark.parametrize("override", [
+        {"big_c": 0.0}, {"big_c": -8.0}, {"big_c": math.nan},
+        {"beta": -1.0}, {"beta": math.nan}, {"beta": math.inf},
+        {"m": math.nan}, {"l_big": math.inf}, {"m": 32.5}, {"l_big": 61.5},
+    ])
+    def test_bad_constants_refused(self, override):
+        with pytest.raises(ConfigError):
+            GHDReductionParams(**{**FEASIBLE, **override})
+
 
 class TestGHDReduce:
     def test_letter_budget_and_totals(self):

@@ -1,9 +1,12 @@
 """Independence tester: reduction laws, pairing, protocol end-to-end pieces."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from disttest2p.dist import (
@@ -14,9 +17,15 @@ from disttest2p.dist import (
     split_map,
     uniform_distribution,
 )
-from disttest2p.harness import ConfigError, Decision, SharedRandomness
+from disttest2p.harness import (
+    ConfigError,
+    Decision,
+    ProtocolError,
+    SharedRandomness,
+)
 from disttest2p.independence import (
     ITParams,
+    _decode_oneway,
     JointDistribution,
     conditioned,
     conditioned_rows,
@@ -279,6 +288,15 @@ class TestIT2P:
         with pytest.raises(ConfigError):
             ITParams(n=10, m=20, t=10 ** 6, eps=1.0, k=2)
 
+    @pytest.mark.parametrize("override", [
+        {"big_c": 0.0}, {"big_c": math.nan}, {"c1": -16.0}, {"c1": math.inf},
+        {"c2": 0.0}, {"c3": math.nan}, {"c_eps": -1.0}, {"c_eps": math.inf},
+        {"votes": 2.5}, {"votes": -1}, {"votes": math.nan},
+    ])
+    def test_bad_constants_refused(self, override):
+        with pytest.raises(ConfigError):
+            ITParams(n=20, m=20, t=8000, eps=1.0, k=2, **override)
+
     def test_product_and_far_verdicts(self):
         params = minimal_params()
         prod = product_joint(uniform_distribution(20), uniform_distribution(20))
@@ -369,3 +387,53 @@ class TestOneWay:
                 assert v.transcript.messages[0][1] == 4 + 4 * params.votes
                 return
         pytest.fail("no run produced an empty intersection")
+
+
+def oneway_rep(lam, pool, letters):
+    """One repetition of the one-way wire format, as Alice encodes it."""
+    if lam == 0:
+        return struct.pack("<I", 0)
+    return (struct.pack("<II", lam, len(pool))
+            + np.asarray(pool, dtype="<u4").tobytes()
+            + np.asarray(letters, dtype="<u2").tobytes())
+
+
+class TestOneWayWire:
+    def test_round_trip(self):
+        payload = oneway_rep(0, [], []) + oneway_rep(2, [5, 0, 3], [7, 1, 7])
+        (lam0, pool0, letters0), (lam1, pool1, letters1) = \
+            _decode_oneway(payload, 2, 6)
+        assert lam0 == 0 and pool0.size == 0 and letters0.size == 0
+        assert lam1 == 2
+        assert pool1.tolist() == [5, 0, 3] and letters1.tolist() == [7, 1, 7]
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"\x01\x00", struct.pack("<I", 1),
+        oneway_rep(1, [0, 1], [0, 0])[:-1],
+        oneway_rep(1, [0, 1], [0, 0]) + b"\x00",
+        oneway_rep(1, [0, 6], [0, 0]),
+        oneway_rep(3, [0, 1], [0, 0]),
+    ], ids=["empty", "short-header", "no-pool-size", "truncated-body",
+            "trailing", "index-ge-t-prime", "pool-below-lambda"])
+    def test_bad_payload_rejected(self, payload):
+        with pytest.raises(ProtocolError):
+            _decode_oneway(payload, 1, 6)
+
+    @given(st.lists(st.one_of(
+               st.binary(max_size=24),
+               st.builds(lambda lam, pool: oneway_rep(lam, pool, pool),
+                         st.integers(0, 4),
+                         st.lists(st.integers(0, 9), max_size=6))),
+               max_size=3).map(b"".join),
+           st.integers(1, 3), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_payload_raises_only_protocol_error(self, payload, reps,
+                                                       t_prime):
+        try:
+            decoded = _decode_oneway(payload, reps, t_prime)
+        except ProtocolError:
+            return
+        assert len(decoded) == reps
+        for lam, pool, letters in decoded:
+            assert pool.size == letters.size >= lam
+            assert pool.size == 0 or pool.max() < t_prime
