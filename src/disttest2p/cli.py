@@ -365,6 +365,22 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _m_k_grids(protocol: str, m, k, default_k: int) -> dict:
+    """``ms`` and ``ks`` from the ``--m``/``--k`` values (None when absent).
+
+    A protocol whose grid has ``m`` needs ``--m``; one without ``m`` or ``k``
+    refuses the flag instead of ignoring it.
+    """
+    keys = PROTOCOLS[protocol].keys
+    if m is None and "m" in keys:
+        raise ConfigError(f"{protocol} needs --m")
+    for name, given in (("m", m), ("k", k)):
+        if given is not None and name not in keys:
+            raise ConfigError(f"{protocol} takes no --{name}")
+    return dict(ms=(0,) if m is None else tuple(m),
+                ks=(default_k,) if k is None else tuple(k))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disttest2p",
@@ -375,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument("--n", type=int, required=True)
     trials.add_argument("--t", type=int, required=True)
     trials.add_argument("--eps", type=float, default=1.0)
-    trials.add_argument("--k", type=int, default=2)
+    trials.add_argument("--k", type=int, default=None,
+                        help="security/repetition parameter (default 2)")
     trials.add_argument("--seed", type=int, default=0)
     trials.add_argument("--trials", type=int, default=20)
     trials.add_argument("--out", type=str, default="-")
@@ -403,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="grid sweep with CSV report")
     run.add_argument("--protocol", choices=PROTOCOLS, required=True)
     run.add_argument("--n", type=int, nargs="+", required=True)
-    run.add_argument("--m", type=int, nargs="+", default=[0])
+    run.add_argument("--m", type=int, nargs="+", default=None)
     run.add_argument("--t", type=int, nargs="+", required=True)
     run.add_argument("--eps", type=float, nargs="+", default=[1.0])
-    run.add_argument("--k", type=int, nargs="+", default=[1])
+    run.add_argument("--k", type=int, nargs="+", default=None)
     run.add_argument("--trials", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", type=str, default="-")
@@ -439,10 +456,12 @@ _TRIAL_COLUMNS = ["trial", "family", "verdict", "plaintext_bits", "secure_bits"]
 
 def _simple_trials(args, protocol: str, columns: list) -> str:
     """Per-trial CSV of the closeness and independence subcommands."""
-    cfg = ExperimentConfig(protocol=protocol, ns=(args.n,),
-                           ms=(getattr(args, "m", 0),), ts=(args.t,),
-                           epss=(args.eps,), ks=(args.k,), trials=args.trials,
-                           seed=args.seed, overrides=_parse_overrides(args.set))
+    m = getattr(args, "m", None)
+    grids = _m_k_grids(protocol, None if m is None else [m],
+                       None if args.k is None else [args.k], default_k=2)
+    cfg = ExperimentConfig(protocol=protocol, ns=(args.n,), ts=(args.t,),
+                           epss=(args.eps,), trials=args.trials, seed=args.seed,
+                           overrides=_parse_overrides(args.set), **grids)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["instance" if c == "family" else c for c in columns])
@@ -473,11 +492,12 @@ def main(argv=None) -> int:
             if args.constants:
                 with open(args.constants) as fh:
                     overrides = {**fixture_from_text(fh.read()), **overrides}
+            grids = _m_k_grids(args.protocol, args.m, args.k, default_k=1)
             cfg = ExperimentConfig(protocol=args.protocol, ns=tuple(args.n),
-                                   ms=tuple(args.m), ts=tuple(args.t),
-                                   epss=tuple(args.eps), ks=tuple(args.k),
+                                   ts=tuple(args.t), epss=tuple(args.eps),
                                    trials=args.trials, seed=args.seed,
-                                   overrides=overrides, timing=args.timing)
+                                   overrides=overrides, timing=args.timing,
+                                   **grids)
             _emit(rows_to_csv(run_experiment(cfg)), args.out)
         elif args.command == "calibrate":
             got = calibrate(args.protocol, args.n, args.eps, args.seed,

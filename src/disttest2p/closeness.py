@@ -9,8 +9,9 @@ and the squared distance estimate is compared against the threshold
 ``ct2p_secure_reference`` evaluates the secure variant's reference function in
 the clear through the trusted evaluator: the distance is assembled as an exact
 split/cap adjustment (delta_1) plus a Bernoulli estimate of the capped
-distance (delta_2) driven by a shared rounded rotation, with a majority vote
-over sample sets.
+distance (delta_2) driven by a shared random rotation, with a majority vote
+over sample sets.  Both the rotation and the Bernoulli trials are drawn in
+closed form, exactly in law (see :func:`bernoulli_hits`).
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .harness import (
     trusted_evaluate,
 )
 from .sketch import (
-    RoundedRotation,
     collision_norm_estimate,
     estimate_distance_sq,
+    haar_rotate,
     l2_sketch,
 )
 
@@ -293,15 +294,16 @@ def capped_split_adjustment(a: OccurrenceVector, b: OccurrenceVector,
             b_matrix = split_occurrence_matrix(b, max_buckets, rng)
     a_capped = cap(a, level).counts
     b_capped = cap(b, level).counts
-    total = 0.0
-    for i in np.nonzero(members)[0]:
-        m_i = int(buckets[i])
-        row_a = a_matrix.row(int(i), m_i)
-        row_b = b_matrix.row(int(i), m_i)
-        split_sq = float(((row_a - row_b) ** 2).sum())
-        capped_sq = float((a_capped[i] - b_capped[i]) ** 2)
-        total += split_sq - capped_sq
-    return total
+    # Every term is an integer below 2**53, so summing in int64 per bucket
+    # count gives the same value as a float sum in any order.
+    total = 0
+    letters = np.nonzero(members)[0]
+    for m in np.unique(buckets[letters]):
+        group = letters[buckets[letters] == m]
+        diff = a_matrix.row(group, int(m)) - b_matrix.row(group, int(m))
+        total += int((diff ** 2).sum()) - \
+            int(((a_capped[group] - b_capped[group]) ** 2).sum())
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -361,6 +363,24 @@ class SecureCTParams:
         return max(1, math.ceil(self.t_prime / (2 * self.cap_level)))
 
 
+def bernoulli_hits(biases: np.ndarray, trials: int,
+                   rng: np.random.Generator) -> int | None:
+    """Hits of ``trials`` draws "uniform index i, then a coin of bias
+    ``biases[i]``", or None if some draw lands on a bias above 1.
+
+    Exact in law without the loop: no draw lands on one of the ``c`` clamped
+    indices with probability ``((n - c) / n) ** trials``, and given that, each
+    draw is a uniform unclamped index followed by its coin, so the hits are
+    Binomial(trials, mean unclamped bias).
+    """
+    n = biases.size
+    unclamped = biases <= 1.0
+    c = n - int(unclamped.sum())
+    if c == n or (c and rng.random() >= ((n - c) / n) ** trials):
+        return None
+    return int(rng.binomial(trials, float(biases[unclamped].mean())))
+
+
 @dataclass(frozen=True)
 class SetVote:
     delta1: float
@@ -402,16 +422,15 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
             votes.append(SetVote(delta1, 0.0, tau, headroom, False, Decision.FAR))
             continue
 
-        rot = RoundedRotation(n, shared.derive_seed("rotation", j),
-                              flatness_k=params.rotation_flatness)
-        rotated = rot.apply(a_capped.counts - b_capped.counts)
-        idx = shared.stream("bern-idx", j).integers(0, n, params.bernoulli_trials)
-        biases = n * rotated[idx] ** 2 / (headroom * params.votes)
-        if bool((biases > 1.0).any()):
+        rotated = haar_rotate(a_capped.counts - b_capped.counts,
+                              shared.stream("rotation", j))
+        biases = n * rotated ** 2 / (headroom * params.votes)
+        hits = bernoulli_hits(biases, params.bernoulli_trials,
+                              shared.stream("bernoulli", j))
+        if hits is None:
             votes.append(SetVote(delta1, 0.0, tau, headroom, True, Decision.FAR))
             continue
-        z = shared.stream("bern-z", j).random(params.bernoulli_trials) < biases
-        delta2 = headroom * params.votes / params.bernoulli_trials * float(z.sum())
+        delta2 = headroom * params.votes / params.bernoulli_trials * hits
         vote = Decision.FAR if delta1 + delta2 > tau else Decision.SAME
         votes.append(SetVote(delta1, delta2, tau, headroom, False, vote))
     return votes

@@ -251,31 +251,26 @@ class SplitOccurrenceMatrix:
     recasting the underlying samples one by one.
     """
 
-    rows: tuple  # rows[i][j-1] is an int64 array of length j
+    splits: tuple  # splits[j-1] is a read-only (n, j) int64 array
     source_counts: np.ndarray
     max_buckets: int
 
-    def row(self, letter: int, buckets: int) -> np.ndarray:
+    def row(self, letter, buckets: int) -> np.ndarray:
+        """Split of ``X_letter`` into ``buckets``; an index array of letters
+        gives one row per letter."""
         if not 1 <= buckets <= self.max_buckets:
             raise ValueError("bucket count out of range")
-        return self.rows[letter][buckets - 1]
+        return self.splits[buckets - 1][letter]
 
 
 def split_occurrence_matrix(x: OccurrenceVector, max_buckets: int,
                             rng: np.random.Generator) -> SplitOccurrenceMatrix:
     if max_buckets < 1:
         raise ValueError("need at least one bucket")
-    per_j = []
-    for j in range(1, max_buckets + 1):
-        if j == 1:
-            per_j.append(x.counts.reshape(-1, 1))
-        else:
-            per_j.append(rng.multinomial(x.counts, np.full(j, 1.0 / j)))
-    rows = tuple(
-        tuple(_readonly(per_j[j][i]) for j in range(max_buckets))
-        for i in range(x.n)
-    )
-    return SplitOccurrenceMatrix(rows, x.counts, max_buckets)
+    splits = [x.counts.reshape(-1, 1)]
+    for j in range(2, max_buckets + 1):
+        splits.append(_readonly(rng.multinomial(x.counts, np.full(j, 1.0 / j))))
+    return SplitOccurrenceMatrix(tuple(splits), x.counts, max_buckets)
 
 
 def l1_distance(p: Distribution, q: Distribution) -> float:

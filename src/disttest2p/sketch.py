@@ -1,4 +1,4 @@
-"""L2 machinery: linear sketches, collision norm estimates, rounded rotations.
+"""L2 machinery: linear sketches, collision norm estimates, rotations.
 
 The sketch is a CountSketch (fast-AGMS): 4-wise independent Carter-Wegman
 hashes put each coordinate in one of ``group_size`` buckets per group with a
@@ -109,6 +109,18 @@ def collision_norm_estimate(samples) -> float:
     return collisions / (t * (t - 1) / 2.0)
 
 
+def haar_rotate(v, rng: np.random.Generator) -> np.ndarray:
+    """``Rv`` for a Haar-random rotation ``R``, drawn in law without ``R``.
+
+    A Haar rotation sends ``v`` to a uniform point on the sphere of radius
+    ``||v||``, which is ``||v|| g / ||g||`` for ``g ~ N(0, I_n)``: O(n) work
+    against the O(n^3) QR factorization behind :class:`RoundedRotation`.
+    """
+    v = np.asarray(getattr(v, "counts", v), dtype=np.float64)
+    g = rng.standard_normal(v.size)
+    return math.sqrt(float(v @ v) / float(g @ g)) * g
+
+
 class RoundedRotation:
     """Seeded near-orthonormal rotation with entries rounded to a fixed grid.
 
@@ -117,7 +129,9 @@ class RoundedRotation:
     of ``2**-granularity``.  It is a pure function of ``(n, seed)``: the same
     inputs give a bit-identical matrix, which is how two parties share it by
     exchanging only the seed.  ``flatness_k`` is the bound checked by the
-    invariant suite: ``max_i (Rv)_i^2 <= (||v||^2 / n) * flatness_k``.
+    invariant suite: ``max_i (Rv)_i^2 <= (||v||^2 / n) * flatness_k``.  The
+    secure reference draws ``Rv`` with :func:`haar_rotate` instead; this
+    explicit matrix is the reference its law is tested against.
     """
 
     def __init__(self, n: int, seed: int, flatness_k: int = 40,

@@ -2,6 +2,9 @@
 
 import pathlib
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
@@ -49,11 +52,16 @@ class TestRunExperiment:
     def test_golden_file(self):
         # downstream parsers pin this exact output; regenerate deliberately
         # if the schema ever changes.  The one-way file also pins the
-        # independence kernel and its wire format (its bits vary per row).
+        # independence kernel and its wire format (its bits vary per row);
+        # the secure file pins the secure reference's random streams (two
+        # of its sixteen verdicts are wrong, so a new stream layout shows).
         goldens = {
             "golden_closeness.csv": ExperimentConfig(
                 protocol="closeness", ns=(200,), ts=(274,), epss=(1.0,),
                 trials=2, seed=424242),
+            "golden_closeness_secure.csv": ExperimentConfig(
+                protocol="closeness-secure", ns=(200,), ts=(1095,),
+                epss=(1.0,), ks=(4,), trials=8, seed=424242),
             "golden_independence_oneway.csv": ExperimentConfig(
                 protocol="independence-oneway", ns=(100,), ms=(100,),
                 ts=(40000,), epss=(1.0,), ks=(2,), trials=2, seed=424242),
@@ -81,6 +89,12 @@ class TestRunExperiment:
 class TestFixtures:
     def test_roundtrip(self):
         constants = {"c_alpha": 0.0625, "c_split": 1.0}
+        assert fixture_from_text(fixture_to_text(constants)) == constants
+
+    @given(st.dictionaries(st.text("abcxyz_019", min_size=1, max_size=12),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=8))
+    def test_roundtrip_property(self, constants):
         assert fixture_from_text(fixture_to_text(constants)) == constants
 
     def test_comment_lines_ignored(self):
@@ -226,6 +240,30 @@ class TestBadInput:
                                     "--t", "8000", "--trials", "1",
                                     "--set", "c_eps=-1"])
         assert "c_eps" in err
+
+
+    def test_independence_without_m(self, capsys):
+        for protocol in ("independence", "independence-oneway"):
+            err = self.refused(capsys, ["run", "--protocol", protocol, "--n",
+                                        "20", "--t", "8000", "--k", "2"])
+            assert "--m" in err
+
+    def test_grid_flag_the_protocol_does_not_take(self, capsys):
+        for argv in (["run", "--protocol", "closeness", "--m", "20"],
+                     ["run", "--protocol", "closeness", "--k", "4"],
+                     ["run", "--protocol", "closeness-secure", "--m", "20"],
+                     ["run", "--protocol", "hardgen", "--k", "2"],
+                     ["closeness", "--k", "4"]):
+            err = self.refused(capsys, argv + ["--n", "200", "--t", "274"])
+            assert f"takes no --{argv[-2][2:]}" in err
+
+    def test_grid_flags_where_taken(self, capsys):
+        assert main(["run", "--protocol", "closeness-secure", "--n", "200",
+                     "--t", "1095", "--k", "4"]) == 0
+        assert main(["run", "--protocol", "independence", "--n", "20",
+                     "--m", "20", "--t", "8000", "--k", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert sum(",ok," in row for row in rows) == 4
 
 
 class TestCalibrate:

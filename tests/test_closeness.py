@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from disttest2p import dist
+from disttest2p import closeness, dist
 from disttest2p.closeness import (
     CTParams,
     SecureCTParams,
+    bernoulli_hits,
     capped_split_adjustment,
     ct2p_insecure,
     ct2p_secure_reference,
@@ -35,6 +37,7 @@ from disttest2p.harness import (
     SharedRandomness,
     Transcript,
 )
+from disttest2p.sketch import RoundedRotation, haar_rotate
 
 
 def rng(seed=0):
@@ -325,3 +328,137 @@ class TestSecureReference:
             np.full(params.t, 1, dtype=np.int64), params, SharedRandomness(1))
         # all mass on single clashing letters: enormous delta1, T <= 0 branch
         assert any(v.headroom <= 0 and v.vote is Decision.FAR for v in votes)
+
+
+# ---------------------------------------------------------------------------
+# The secure reference draws its rotation and Bernoulli trials in closed form.
+# These tests hold the closed forms to the literal constructions they replace.
+
+
+def loop_bernoulli_hits(biases, trials, rng):
+    """Reference: ``trials`` uniform indices, then one coin per index."""
+    idx = rng.integers(0, biases.size, trials)
+    if bool((biases[idx] > 1.0).any()):
+        return None
+    return int((rng.random(trials) < biases[idx]).sum())
+
+
+def qr_rotate(v, rng):
+    """Reference: ``Rv`` through the explicit rounded Haar rotation."""
+    return RoundedRotation(v.size, int(rng.integers(2 ** 63))).apply(v)
+
+
+def reference_split_rows(x, max_buckets, rng):
+    """Reference: one multinomial draw per bucket count, cut into one row
+    array per (letter, bucket count)."""
+    per_j = [x.counts.reshape(-1, 1)] + [
+        rng.multinomial(x.counts, np.full(j, 1.0 / j))
+        for j in range(2, max_buckets + 1)]
+    return [[per_j[j][i] for j in range(max_buckets)] for i in range(x.n)]
+
+
+def summary(draws):
+    """Clamp count and the (mean, SE, variance, SE) of the unclamped hits."""
+    hits = np.array([h for h in draws if h is not None], dtype=np.float64)
+    dev_sq = (hits - hits.mean()) ** 2
+    return (len(draws) - hits.size, hits.mean(), hits.std() / math.sqrt(hits.size),
+            dev_sq.mean(), dev_sq.std() / math.sqrt(hits.size))
+
+
+class TestClosedFormLaws:
+    def test_bernoulli_hits_match_index_coin_loop(self):
+        # n=10 with one clamped bias and B=5: no clamp w.p. 0.9^5 ~ 0.59
+        biases = np.append(rng(11).uniform(0.05, 0.95, 9), 1.5)
+        trials, reps = 5, 20_000
+        new = [bernoulli_hits(biases, trials, r) for r in
+               (rng(10_000 + i) for i in range(reps))]
+        old = [loop_bernoulli_hits(biases, trials, r) for r in
+               (rng(50_000 + i) for i in range(reps))]
+        (c_new, m_new, sm_new, v_new, sv_new) = summary(new)
+        (c_old, m_old, sm_old, v_old, sv_old) = summary(old)
+        p_clamp = 1 - 0.9 ** trials
+        clamp_se = math.sqrt(2 * p_clamp * (1 - p_clamp) / reps)
+        assert abs(c_new - c_old) / reps <= 3 * clamp_se
+        assert abs(c_new / reps - p_clamp) <= 3 * clamp_se / math.sqrt(2)
+        assert abs(m_new - m_old) <= 3 * math.hypot(sm_new, sm_old)
+        assert abs(v_new - v_old) <= 3 * math.hypot(sv_new, sv_old)
+        p = biases[:9].mean()
+        assert m_new == pytest.approx(trials * p, abs=3 * sm_new)
+        assert v_new == pytest.approx(trials * p * (1 - p), abs=3 * sv_new)
+
+    def test_bernoulli_hits_edge_cases(self):
+        assert bernoulli_hits(np.full(4, 1.5), 3, rng()) is None
+        assert bernoulli_hits(np.zeros(4), 3, rng()) == 0
+        assert bernoulli_hits(np.ones(4), 3, rng()) == 3
+        # one clamped index among 10^4: 10^4 trials miss it w.p. ~ e^-1
+        clamps = sum(bernoulli_hits(np.append(np.zeros(9_999), 2.0),
+                                    10 ** 4, rng(s)) is None for s in range(400))
+        assert abs(clamps / 400 - (1 - math.exp(-1))) < 3 * 0.024
+
+    def test_sphere_draw_matches_rounded_rotation(self):
+        # the max coordinate (which sets the clamp) and the mass of the first
+        # half of the coordinates follow the explicit rotation's law; the
+        # norm is kept exactly, where the rounded matrix keeps it to ~1e-5
+        n, seeds = 64, 1500
+        v = rng(12).integers(-5, 6, n).astype(np.float64)
+        norm_sq = float(v @ v)
+        sphere = [haar_rotate(v, rng(s)) for s in range(seeds)]
+        rounded = [RoundedRotation(n, 90_000 + s).apply(v) for s in range(seeds)]
+        for stat in (lambda rv: float(np.max(rv ** 2)),
+                     lambda rv: float(rv[:n // 2] @ rv[:n // 2])):
+            assert stats.ks_2samp([stat(rv) for rv in sphere],
+                                  [stat(rv) for rv in rounded]).pvalue > 0.01
+        assert max(abs(float(rv @ rv) / norm_sq - 1) for rv in sphere) < 1e-12
+        assert max(abs(float(rv @ rv) / norm_sq - 1) for rv in rounded) < 1e-3
+
+    def test_secure_votes_law_matches_loop_form(self, monkeypatch):
+        # C4's cell: per-vote delta_2 and the clamp rate of the closed forms
+        # against the QR rotation and the index-then-coin loop
+        params = SecureCTParams(n=200, t=1095, eps=1.0, k=4)
+        p, q = uniform_distribution(200), far_instance(200, 1.0)
+        instances = []
+        for trial in range(40):
+            r = rng(7_000 + trial)
+            instances.append((sample(p, params.t, r).letters,
+                              sample(p if trial % 2 else q, params.t, r).letters))
+
+        def votes():
+            out = []
+            for trial, (a, b) in enumerate(instances):
+                out += secure_reference_votes(a, b, params,
+                                              SharedRandomness(trial))
+            return [v for v in out if v.headroom > 0]
+
+        new = votes()
+        with monkeypatch.context() as m:
+            m.setattr(closeness, "haar_rotate", qr_rotate)
+            m.setattr(closeness, "bernoulli_hits", loop_bernoulli_hits)
+            old = votes()
+        assert [v.delta1 for v in new] == [v.delta1 for v in old]
+        clamp_new = np.mean([v.clamped for v in new])
+        clamp_old = np.mean([v.clamped for v in old])
+        pooled = (clamp_new + clamp_old) / 2
+        assert 0.05 < pooled < 0.95
+        assert abs(clamp_new - clamp_old) <= \
+            3 * math.sqrt(2 * pooled * (1 - pooled) / len(new))
+        assert stats.ks_2samp([v.delta2 for v in new if not v.clamped],
+                              [v.delta2 for v in old if not v.clamped]
+                              ).pvalue > 0.01
+
+    def test_split_matrix_rows_match_reference(self):
+        r = rng(13)
+        for _ in range(20):
+            x = OccurrenceVector(r.integers(0, 40, int(r.integers(1, 30))))
+            max_buckets = int(r.integers(1, 9))
+            seed = int(r.integers(2 ** 32))
+            m = split_occurrence_matrix(x, max_buckets, rng(seed))
+            rows = reference_split_rows(x, max_buckets, rng(seed))
+            for i in range(x.n):
+                for j in range(1, max_buckets + 1):
+                    got = m.row(i, j)
+                    assert got.dtype == rows[i][j - 1].dtype
+                    assert np.array_equal(got, rows[i][j - 1])
+                    assert not got.flags.writeable
+            letters = np.arange(x.n)[::2]
+            assert np.array_equal(m.row(letters, max_buckets),
+                                  [rows[i][max_buckets - 1] for i in letters])

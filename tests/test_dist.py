@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from disttest2p import dist
 from disttest2p.dist import (
@@ -311,6 +313,20 @@ class TestSerialization:
         x = OccurrenceVector([3, 0, 7])
         back = dist.occurrence_from_text(dist.occurrence_to_text(x))
         assert np.array_equal(back.counts, x.counts)
+
+    @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=50))
+    def test_occurrence_roundtrip_property(self, counts):
+        x = OccurrenceVector(counts)
+        back = dist.occurrence_from_text(dist.occurrence_to_text(x))
+        assert back.counts.dtype == x.counts.dtype
+        assert np.array_equal(back.counts, x.counts)
+
+    @given(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=1,
+                    max_size=50).filter(lambda w: sum(w) > 0))
+    def test_distribution_roundtrip_property(self, weights):
+        p = Distribution(np.array(weights) / sum(weights))
+        back = dist.distribution_from_text(dist.distribution_to_text(p))
+        assert np.array_equal(back.probs, p.probs)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):

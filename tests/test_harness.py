@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disttest2p.harness import (
     FRAME_BYTES,
@@ -52,6 +54,36 @@ class TestRunProtocol:
         with pytest.raises(ProtocolError):
             run_protocol(wait(), wait())
 
+    @settings(max_examples=100, deadline=None)
+    @given(schedule=st.lists(st.tuples(st.booleans(), st.binary(max_size=8)),
+                             max_size=12),
+           data=st.data())
+    def test_deadlock_after_any_schedule(self, schedule, data):
+        # Both parties follow a random message schedule, then both Recv at
+        # the same point with nothing left in flight.
+        cut = data.draw(st.integers(0, len(schedule)))
+
+        def party(me_is_alice, deadlock):
+            got = []
+            for step, (alice_sends, payload) in enumerate(schedule):
+                if deadlock and step == cut:
+                    yield Recv()
+                if alice_sends == me_is_alice:
+                    yield Send(payload)
+                else:
+                    got.append((yield Recv()))
+            if deadlock and cut == len(schedule):
+                yield Recv()
+            return got
+
+        a_out, b_out, tr = run_protocol(party(True, False), party(False, False))
+        assert a_out == [p for sender, p in schedule if not sender]
+        assert b_out == [p for sender, p in schedule if sender]
+        assert tr.total_bits == sum(8 * (FRAME_BYTES + len(p))
+                                    for _, p in schedule)
+        with pytest.raises(ProtocolError, match="deadlock"):
+            run_protocol(party(True, True), party(False, True))
+
     def test_queued_messages_preserve_order(self):
         def alice():
             yield Send(b"a")
@@ -101,6 +133,27 @@ class TestSharedRandomness:
         assert mix64(0) == mix64(0)
         assert mix64(1, 2, 3) != mix64(1, 2, 4)
         assert 0 <= mix64(123, 456) < 2 ** 64
+
+    def test_mix64_golden_values(self):
+        # every row seed and stream derives from these; a faster mix64 must
+        # reproduce them exactly
+        assert mix64(0) == 0x6E789E6AA1B965F4
+        assert mix64(1, 2, 3) == 0x48CF5028B6DF10DB
+        assert mix64(424242, 0, 1, 2) == 0xFB10F07744CE9B01
+        assert mix64(2 ** 64 - 1) == 0xB4D055FCF2CBBD7B
+        assert SharedRandomness(424242).derive_seed("rotation", 3) == \
+            0xAEC0326A588943C1
+
+    @given(parts=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6),
+           data=st.data())
+    def test_mix64_changing_one_part_changes_output(self, parts, data):
+        # each step is a bijection of the running state, so no two inputs of
+        # the same length that differ in one part can collide
+        i = data.draw(st.integers(0, len(parts) - 1))
+        other = data.draw(st.integers(0, 2 ** 64 - 1).filter(
+            lambda v: v != parts[i]))
+        changed = parts[:i] + [other] + parts[i + 1:]
+        assert mix64(*parts) != mix64(*changed)
 
 
 class TestTrustedEvaluate:
