@@ -219,12 +219,14 @@ def run_experiment(cfg: ExperimentConfig):
         yield from rows
         for family in families:
             ok = [r for r in rows if r.family == family and r.status == "ok"]
-            rate = sum(r.success for r in ok) / len(ok) if ok else 0.0
-            yield ResultRow(
-                protocol=cfg.protocol, **cell, trial="summary", family=family,
-                status="summary", success=f"{rate:.4f}",
-                plaintext_bits=_geomean([r.plaintext_bits for r in ok]),
-                secure_bits=_geomean([r.secure_bits for r in ok]))
+            summary = {}  # rows all skipped at run time: no rate, no bits
+            if ok:
+                summary = dict(
+                    success=f"{sum(r.success for r in ok) / len(ok):.4f}",
+                    plaintext_bits=_geomean([r.plaintext_bits for r in ok]),
+                    secure_bits=_geomean([r.secure_bits for r in ok]))
+            yield ResultRow(protocol=cfg.protocol, **cell, trial="summary",
+                            family=family, status="summary", **summary)
 
 
 def _geomean(values) -> str:
@@ -265,7 +267,8 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
     """Grid-search constants; returns (constants, same_rate, far_rate) or None.
 
     Feasibility means both instance-family success rates reach 0.75 at the
-    precondition-minimal sample count for the candidate constants.
+    precondition-minimal sample count for the candidate constants; a family
+    whose rows were all skipped has no rate and makes the candidate infeasible.
     """
     baseline = 8.0 * max(n ** (2 / 3) * eps ** (-4 / 3),
                          math.sqrt(n) * eps ** (-2))
@@ -285,9 +288,12 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
         cfg = ExperimentConfig(protocol=protocol, ns=(n,), ms=(n,), ts=(t,),
                                epss=(eps,), ks=(k,), trials=trials, seed=seed,
                                overrides=consts)
-        rates = [float(row.success) for row in run_experiment(cfg)
+        rates = [row.success for row in run_experiment(cfg)
                  if row.status == "summary"]
-        if rates and min(rates) >= 0.75 and (
+        if not rates or "" in rates:
+            continue
+        rates = [float(rate) for rate in rates]
+        if min(rates) >= 0.75 and (
                 best is None or min(rates) > min(best[1:])):
             best = (consts, *rates)
     return best

@@ -318,7 +318,6 @@ class SecureCTParams:
     c: float = 64.0
     c_a: float = 0.25
     c_l: float = 2.0
-    rotation_flatness: int = 40
     votes: int = 0  # 0 means "derive from k" (k rounded up to odd)
 
     def __post_init__(self):
@@ -327,9 +326,6 @@ class SecureCTParams:
         if not 0 < self.eps <= 2:
             raise ConfigError("eps must be in (0, 2]")
         require_positive(self, "big_c", "c", "c_a", "c_l")
-        if not (math.isfinite(self.rotation_flatness)
-                and self.rotation_flatness >= 1):
-            raise ConfigError("rotation_flatness must be finite and at least 1")
         resolve_votes(self)
         minimum = self.big_c * self.k * max(
             self.n ** (2 / 3) * self.eps ** (-4 / 3),

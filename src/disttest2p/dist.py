@@ -170,14 +170,47 @@ def point_mass(n: int, letter: int) -> Distribution:
     return Distribution(p)
 
 
+_GUIDE_STEPS = 4  # forward steps before a draw falls back to binary search
+
+
+def draw(probs: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(probs.size, size=t, p=probs)``, bit for bit, O(1) per draw.
+
+    ``probs`` is a validated probability vector.  Like ``Generator.choice``
+    this inverts ``cdf = cumsum(probs) / total`` at ``t`` uniforms from one
+    ``rng.random(t)`` call, returning ``#{i : cdf[i] <= u}``; it replaces the
+    binary search with an indexed search (Chen and Asau 1974; Devroye 1986,
+    III.2).  The answer is always a position where the cdf rises, hence of
+    positive probability, so only the cdf values ``c`` there are searched.
+    ``guide[b]`` counts the ``c`` at most ``b/k`` for ``k`` a power of two
+    (so ``c*k`` and ``u*k`` are exact), which starts the draw ``u`` in
+    bucket ``floor(u*k)`` at or before its answer; a few steps forward
+    finish nearly every draw and a binary search the rest.
+    """
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    support = np.flatnonzero(probs)
+    c = cdf[support]
+    k = 1 << (c.size - 1).bit_length()
+    guide = np.cumsum(np.bincount(np.ceil(c * k).astype(np.intp)))
+    u = rng.random(t)
+    idx = guide[(u * k).astype(np.intp)]
+    live = np.flatnonzero(c[idx] <= u)
+    for _ in range(_GUIDE_STEPS):
+        if live.size == 0:
+            break
+        idx[live] += 1
+        live = live[c[idx[live]] <= u[live]]
+    else:
+        idx[live] = np.searchsorted(c, u[live], side="right")
+    return support[idx].astype(np.int64, copy=False)
+
+
 def sample(dist: Distribution, t: int, rng: np.random.Generator) -> IndexedSampleSet:
     """Draw ``t`` i.i.d. samples from ``dist``; deterministic given rng state."""
     if t < 0:
         raise ValueError("sample count must be nonnegative")
-    if t == 0:
-        return IndexedSampleSet(np.empty(0, dtype=np.int64), dist.n)
-    letters = rng.choice(dist.n, size=t, p=dist.probs)
-    return IndexedSampleSet(letters.astype(np.int64), dist.n)
+    return IndexedSampleSet(draw(dist.probs, t, rng), dist.n)
 
 
 def poisson_sample(lam: float, rng: np.random.Generator) -> int:

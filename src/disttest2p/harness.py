@@ -12,6 +12,7 @@ lookup-table evaluation of the declared size would cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -175,6 +176,7 @@ def mix64(*parts: int) -> int:
 _LABEL_SALT = 0x5D5F4E6B
 
 
+@functools.cache  # a pure function of the label, asked for on every stream
 def _label_code(label: str) -> int:
     code = _LABEL_SALT
     for ch in label.encode("utf-8"):

@@ -23,6 +23,7 @@ from .dist import (
     IndexedSampleSet,
     Multiset,
     SplitMap,
+    draw,
     split_map,
     split_samples,
 )
@@ -71,28 +72,35 @@ def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class IndicesSetVector:
-    """Per-letter sets of sample indices; the inverse of an indexed sample set."""
+    """Per-letter sets of sample indices; the inverse of an indexed sample set.
 
-    sets: tuple
-    n: int
-    total: int
+    ``order`` lists the sample indices grouped by letter (ascending within a
+    letter); letter ``j``'s set is ``order[boundaries[j]:boundaries[j + 1]]``.
+    """
+
+    order: np.ndarray
+    boundaries: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.boundaries.size - 1
 
     def __getitem__(self, letter: int) -> np.ndarray:
-        return self.sets[letter]
+        return self.order[self.boundaries[letter]:self.boundaries[letter + 1]]
 
     def nonempty_letters(self) -> np.ndarray:
-        return np.array([j for j in range(self.n) if self.sets[j].size > 0],
-                        dtype=np.int64)
+        return np.flatnonzero(np.diff(self.boundaries))
 
 
 def indices_set_vector(samples: IndexedSampleSet, n: int) -> IndicesSetVector:
     if samples.t and samples.letters.max() >= n:
         raise ValueError("sample letter out of range")
-    order = np.argsort(samples.letters, kind="stable")
-    sorted_letters = samples.letters[order]
-    boundaries = np.searchsorted(sorted_letters, np.arange(n + 1))
-    sets = tuple(order[boundaries[j]:boundaries[j + 1]] for j in range(n))
-    return IndicesSetVector(sets, n, samples.t)
+    # The narrowest key type that holds the letters: numpy radix-sorts keys
+    # of up to 16 bits, and a stable order does not depend on the algorithm.
+    keys = samples.letters.astype(np.min_scalar_type(n))
+    order = np.argsort(keys, kind="stable")
+    boundaries = np.searchsorted(samples.letters[order], np.arange(n + 1))
+    return IndicesSetVector(order, boundaries)
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class JointDistribution:
     def sample_joint(self, t: int, rng: np.random.Generator
                      ) -> tuple[IndexedSampleSet, IndexedSampleSet]:
         """t index-aligned draws; sample i is one joint draw shared by Alice/Bob."""
-        flat = rng.choice(self.n * self.m, size=t, p=self.probs.ravel())
+        flat = draw(self.probs.ravel(), t, rng)
         return (IndexedSampleSet(flat // self.m, self.n),
                 IndexedSampleSet(flat % self.m, self.m))
 

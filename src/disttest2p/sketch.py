@@ -104,7 +104,8 @@ def collision_norm_estimate(samples) -> float:
     t = letters.size
     if t < 2:
         raise ValueError("need at least two samples to count collisions")
-    counts = np.bincount(letters)
+    # Count only the letters present: pair codes range over n*m, far past t.
+    counts = np.unique(letters, return_counts=True)[1]
     collisions = float((counts * (counts - 1) // 2).sum())
     return collisions / (t * (t - 1) / 2.0)
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
+    calibrate,
     fixture_from_text,
     fixture_to_text,
     main,
     rows_to_csv,
     run_experiment,
 )
+from disttest2p.harness import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -213,6 +215,12 @@ class TestBadInput:
                                           str(tmp_path / "no-dir" / "rows.csv")])
         assert "no-dir" in err
 
+    def test_removed_rotation_flatness(self, capsys):
+        err = self.refused(capsys, ["run", "--protocol", "closeness-secure",
+                                    "--n", "200", "--t", "1095", "--k", "4",
+                                    "--set", "rotation_flatness=40"])
+        assert "'rotation_flatness'" in err
+
     def test_ghd_product_case(self, capsys, tmp_path):
         out = tmp_path / "inst.txt"
         self.refused(capsys, HARDGEN + GHD_CONSTANTS + [
@@ -264,6 +272,34 @@ class TestBadInput:
                      "--m", "20", "--t", "8000", "--k", "2"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert sum(",ok," in row for row in rows) == 4
+
+
+def _refuse_at_run_time(monkeypatch, runner):
+    """Rebind a tester so every row of a valid cell is skipped when it runs,
+    as the one-way tester's wire-format limit does at large split alphabets."""
+    import disttest2p.cli as cli_module
+
+    def refuse(*args):
+        raise ConfigError("split alphabet too large for wire format")
+    monkeypatch.setattr(cli_module, runner, refuse)
+
+
+class TestNoOkRows:
+    def test_summary_reports_no_rate_or_bits(self, monkeypatch):
+        _refuse_at_run_time(monkeypatch, "one_way_it2p")
+        cfg = ExperimentConfig(protocol="independence-oneway", ns=(20,),
+                               ms=(20,), ts=(8000,), epss=(1.0,), ks=(2,),
+                               trials=2, seed=1)
+        rows = list(run_experiment(cfg))
+        assert [r.status for r in rows] == ["skipped"] * 4 + ["summary"] * 2
+        assert all("wire format" in r.reason for r in rows[:4])
+        for row in rows[4:]:
+            assert (row.success, row.plaintext_bits, row.secure_bits) == \
+                ("", "", "")
+
+    def test_calibration_treats_no_rate_as_infeasible(self, monkeypatch):
+        _refuse_at_run_time(monkeypatch, "it2p")
+        assert calibrate("independence", 20, 1.0, seed=1, trials=1) is None
 
 
 class TestCalibrate:

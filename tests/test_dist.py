@@ -4,7 +4,9 @@ Letters are 0-based throughout the package, so examples phrased over
 ``{1..n}`` appear here shifted down by one.
 """
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -90,6 +92,75 @@ class TestSample:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample(uniform_distribution(3), -1, rng())
+
+
+def _same_as_choice(probs, t, seed):
+    """``dist.draw`` gives ``Generator.choice``'s letters and leaves its
+    generator in the same state."""
+    ours, numpys = rng(seed), rng(seed)
+    got = dist.draw(probs, t, ours)
+    want = numpys.choice(probs.size, size=t, p=probs)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert ours.random() == numpys.random()
+    return got
+
+
+# Zeros, entries too small to move a partial sum (1e-300 next to 1.0), and
+# ordinary ones.
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e-10), st.floats(0.0, 1.0)),
+    min_size=1, max_size=60).filter(lambda w: sum(w) > 0)
+
+
+class TestDraw:
+    @given(weights=_WEIGHTS, t=st.sampled_from([0, 1, 3, 5000]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_choice(self, weights, t, seed):
+        w = np.array(weights)
+        _same_as_choice(w / w.sum(), t, seed)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 65])
+    def test_one_hot(self, size):
+        for letter in {0, size // 2, size - 1}:
+            p = np.zeros(size)
+            p[letter] = 1.0
+            got = _same_as_choice(p, 1000, seed=letter)
+            assert np.all(got == letter)
+
+    def test_crowded_bucket_falls_back_to_binary_search(self):
+        # A dominant first letter puts the cdf of the 1,000 tiny ones after
+        # it into the last buckets of the guide table; draws landing there
+        # need more than the few forward steps and finish by binary search.
+        p = np.concatenate(([1 - 1e-3], np.full(1000, 1e-6)))
+        got = _same_as_choice(p, 200_000, seed=3)
+        assert np.count_nonzero(got) > 100
+
+    def test_sample_uses_draw(self):
+        p = Distribution(np.array([0.5, 0.0, 0.25, 0.25]))
+        assert np.array_equal(sample(p, 300, rng(4)).letters,
+                              _same_as_choice(p.probs, 300, seed=4))
+
+
+def _weighted_choice_lines(source: str) -> list[int]:
+    """Lines calling ``.choice`` with weights (``p=`` or a fourth argument)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"
+            and (len(node.args) >= 4
+                 or any(kw.arg == "p" for kw in node.keywords))]
+
+
+def test_draw_is_the_only_weighted_sampler():
+    assert _weighted_choice_lines("rng.choice(5, size=3, p=w)\n"
+                                  "rng.choice(5, 3, True, w)\n"
+                                  "rng.choice(5, size=3, replace=False)\n"
+                                  ) == [1, 2]
+    package = pathlib.Path(dist.__file__).parent
+    found = {path.name: _weighted_choice_lines(path.read_text())
+             for path in sorted(package.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 class TestPoisson:

@@ -1,10 +1,14 @@
 """Channel engine, transcripts, shared randomness and the trusted evaluator."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disttest2p
 from disttest2p.harness import (
     FRAME_BYTES,
     CircuitSpec,
@@ -113,6 +117,51 @@ class TestTranscript:
         lines = tr.dump_csv().splitlines()
         assert lines[0] == f"0,alice,{8 * (FRAME_BYTES + 4)}"
         assert lines[-1] == f"total,{8 * (FRAME_BYTES + 4)},999"
+
+
+# derive_seed(label) and derive_seed(label, 3) under root seed 424242 for
+# every stream label the package uses ("split" is the shared label of
+# closeness.secure_reference_votes(shared_split_randomness=True)).
+STREAM_SEEDS = {
+    "alice-recast": (0x00495C0B51CCE809, 0x37F8D7CA3F87D2D5),
+    "alice-split": (0xBA5A5ACF592D78CE, 0xA71C9DA19D403B84),
+    "bernoulli": (0x8024D63CCA6F6160, 0xCECAD304C2C12DED),
+    "bob-recast-p": (0xFDCB7035D436658A, 0xB0E149C72D50C75F),
+    "bob-recast-q": (0x2B9EE77887C1ED08, 0x47388190329FCC2C),
+    "bob-split": (0x296DA8B0B1297578, 0x3C8D69FDF19E9D0F),
+    "bob-splitset": (0x11B98DC3D783C514, 0x3169C44E6FF4F23A),
+    "ct2p-sketch": (0xFFCD36A972928EA2, 0x6C5DD33DA068D741),
+    "oneway-bob": (0x217DD7289A74D9B7, 0x98AD70EBC2781C9D),
+    "oneway-universe": (0xEB82AE0A91D95274, 0xEABC31214C3BFC77),
+    "reduction": (0xD14478742C004076, 0x16EC322A1A894292),
+    "rotation": (0x7F378984152FB674, 0xAEC0326A588943C1),
+    "split": (0x40A6CD351B0D85BF, 0xD7605C30165339F5),
+}
+
+
+def _literal_stream_labels() -> set:
+    """String labels passed literally to ``stream``/``derive_seed`` in src."""
+    package = pathlib.Path(disttest2p.__file__).parent
+    return {node.args[0].value
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("stream", "derive_seed")
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+class TestStreamLayout:
+    def test_every_label_is_pinned(self):
+        assert _literal_stream_labels() == set(STREAM_SEEDS) - {"split"}
+
+    @pytest.mark.parametrize("label", sorted(STREAM_SEEDS))
+    def test_golden_seeds(self, label):
+        # asked twice: the label code is cached after the first call
+        shared = SharedRandomness(424242)
+        for _ in range(2):
+            assert (shared.derive_seed(label),
+                    shared.derive_seed(label, 3)) == STREAM_SEEDS[label]
 
 
 class TestSharedRandomness:

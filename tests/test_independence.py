@@ -128,6 +128,18 @@ class TestIndicesSetVector:
         seen = np.sort(np.concatenate([isv[j] for j in range(9)]))
         assert np.array_equal(seen, np.arange(200))
 
+    @given(n=st.sampled_from([1, 2, 9, 255, 256, 257, 70_000]),
+           data=st.data())
+    def test_matches_flatnonzero_reference(self, n, data):
+        # every key width (8, 16 and 32 bits) against the per-letter scan
+        letters = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                              max_size=300)), dtype=np.int64)
+        isv = indices_set_vector(IndexedSampleSet(letters, n), n)
+        assert isv.n == n
+        for j in (range(n) if n < 300 else np.unique(np.append(letters, 0))):
+            assert np.array_equal(isv[j], np.flatnonzero(letters == j))
+        assert np.array_equal(isv.nonempty_letters(), np.unique(letters))
+
 
 class TestJointDistribution:
     def test_diagonal_distance(self):
@@ -137,6 +149,21 @@ class TestJointDistribution:
     def test_product_distance_zero(self):
         joint = product_joint(uniform_distribution(6), uniform_distribution(4))
         assert joint.l1_to_product() == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("joint", [
+        diagonal_joint(100, 100),
+        product_joint(uniform_distribution(20), uniform_distribution(20)),
+        JointDistribution(np.array([[0.5, 0.0], [1e-300, 0.5]])),
+    ])
+    def test_sample_joint_matches_choice(self, joint):
+        # the draw is Generator.choice's over the flattened cells, bit for bit
+        ours, numpys = rng(8), rng(8)
+        a, b = joint.sample_joint(40_000, ours)
+        flat = numpys.choice(joint.n * joint.m, size=40_000,
+                             p=joint.probs.ravel())
+        assert np.array_equal(a.letters, flat // joint.m)
+        assert np.array_equal(b.letters, flat % joint.m)
+        assert ours.random() == numpys.random()
 
     def test_sample_joint_index_aligned(self):
         joint = diagonal_joint(10, 10)

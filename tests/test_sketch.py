@@ -304,6 +304,17 @@ class TestCollisionEstimate:
         with pytest.raises(ValueError):
             collision_norm_estimate(IndexedSampleSet(np.array([0]), 2))
 
+    @given(letters=st.lists(st.integers(0, 60_000), min_size=2, max_size=400),
+           spread=st.sampled_from([1, 7, 60_000]))
+    def test_matches_dense_count(self, letters, spread):
+        # dense and sparse letter sets (the split samples and the pair codes)
+        # against sum C(X_i, 2) / C(t, 2) over a dense bincount
+        letters = np.array(letters) % spread
+        counts = np.bincount(letters)
+        t = letters.size
+        want = float((counts * (counts - 1) // 2).sum()) / (t * (t - 1) / 2.0)
+        assert collision_norm_estimate(letters) == want
+
     def test_unbiased_on_uniform(self):
         # uniform on 100 letters: ||p||^2 = 0.01; mean over 500 trials
         p = uniform_distribution(100)
