@@ -233,7 +233,10 @@ def _geomean(values) -> str:
     positive = [v for v in values if isinstance(v, (int, float)) and v > 0]
     if not positive:
         return "0"
-    return f"{math.exp(sum(math.log(v) for v in positive) / len(positive)):.1f}"
+    # Logs relative to the smallest value: equal values give it back exactly.
+    lo = min(positive)
+    mean_log = sum(math.log(v / lo) for v in positive) / len(positive)
+    return f"{lo * math.exp(mean_log):.1f}"
 
 
 def rows_to_csv(rows) -> str:

@@ -167,17 +167,23 @@ def _encode_multiset(s: Multiset) -> bytes:
 
 
 def _decode_multiset(payload: bytes, n: int) -> Multiset:
+    """The inverse of :func:`_encode_multiset`: ascending letters below ``n``,
+    each with a positive multiplicity."""
     if len(payload) < 4 or \
             len(payload) != 4 + 8 * struct.unpack_from("<I", payload, 0)[0]:
         raise ProtocolError(f"split multiset payload of {len(payload)} bytes "
                             "is truncated or has trailing bytes")
     count = (len(payload) - 4) // 8
     counts = np.zeros(n, dtype=np.int64)
+    previous = -1
     for idx in range(count):
         letter, mult = struct.unpack_from("<II", payload, 4 + 8 * idx)
         if letter >= n:
             raise ProtocolError(f"split multiset letter {letter} >= n={n}")
-        counts[letter] = mult
+        if letter <= previous or mult == 0:
+            raise ProtocolError(f"split multiset item ({letter}, {mult}) is "
+                                "out of order, repeated or empty")
+        counts[letter], previous = mult, letter
     return Multiset(counts)
 
 
@@ -269,29 +275,20 @@ def split_occurrences_from_matrix(matrix: SplitOccurrenceMatrix,
 
 def capped_split_adjustment(a: OccurrenceVector, b: OccurrenceVector,
                             s_a: Multiset, s_b: Multiset, level: int,
-                            rng: np.random.Generator | None = None,
-                            a_matrix: SplitOccurrenceMatrix | None = None,
-                            b_matrix: SplitOccurrenceMatrix | None = None) -> float:
+                            a_matrix: SplitOccurrenceMatrix,
+                            b_matrix: SplitOccurrenceMatrix) -> float:
     """Exact ``||A_S - B_S||^2 - ||A' - B'||^2`` via split-matrix lookups.
 
     Only letters in ``M = {i : i in S or A_i > L or B_i > L}`` can contribute;
-    everywhere else the capped difference equals the unsplit one.  Split
-    matrices may be passed in (so a caller can reuse the same recast to verify
-    the identity); otherwise they are drawn from ``rng``.
+    everywhere else the capped difference equals the unsplit one.  The split
+    matrices are the two parties' recasts, with at least
+    ``1 + max(s_a + s_b)`` buckets per letter.
     """
     if level < 1:
         raise ValueError("cap threshold must be at least 1")
     s = s_a.union(s_b)
     buckets = 1 + s.counts
     members = (s.counts > 0) | (a.counts > level) | (b.counts > level)
-    if a_matrix is None or b_matrix is None:
-        if rng is None:
-            raise ValueError("need an rng when split matrices are not supplied")
-        max_buckets = int(buckets.max())
-        if a_matrix is None:
-            a_matrix = split_occurrence_matrix(a, max_buckets, rng)
-        if b_matrix is None:
-            b_matrix = split_occurrence_matrix(b, max_buckets, rng)
     a_capped = cap(a, level).counts
     b_capped = cap(b, level).counts
     # Every term is an integer below 2**53, so summing in int64 per bucket
@@ -433,20 +430,19 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
 
 
 def secure_reference_f(alice_letters, bob_letters, params: SecureCTParams,
-                       seed: int, shared_split_randomness: bool = False) -> Decision:
+                       seed: int) -> Decision:
     """The reference function f evaluated directly (no evaluator)."""
     shared = SharedRandomness(seed)
     votes = secure_reference_votes(np.asarray(alice_letters, dtype=np.int64),
                                    np.asarray(bob_letters, dtype=np.int64),
-                                   params, shared, shared_split_randomness)
+                                   params, shared)
     far = sum(1 for v in votes if v.vote is Decision.FAR)
     return Decision.FAR if far > len(votes) // 2 else Decision.SAME
 
 
 def ct2p_secure_reference(alice_samples: IndexedSampleSet,
                           bob_samples: IndexedSampleSet,
-                          params: SecureCTParams, seed: int,
-                          shared_split_randomness: bool = False) -> Verdict:
+                          params: SecureCTParams, seed: int) -> Verdict:
     """Evaluate f through the trusted evaluator and meter its modeled cost."""
     if alice_samples.t < params.votes * params.t_prime or \
             bob_samples.t < params.votes * params.t_prime:
@@ -454,20 +450,15 @@ def ct2p_secure_reference(alice_samples: IndexedSampleSet,
     if alice_samples.n != params.n or bob_samples.n != params.n:
         raise ConfigError("sample alphabet does not match params")
 
-    def joint(rom_a, rom_b):
-        return secure_reference_f(rom_a[0], rom_b[0], params, seed,
-                                  shared_split_randomness)
-
     spec = CircuitSpec(
         gate_count=params.votes * (math.ceil(params.t_prime / params.cap_level)
                                    + params.bernoulli_trials),
-        rom_word_bits=64,
         rom_entries=2 * params.votes * params.n * params.t_prime ** 2,
-        output_bits=1,
     )
-    decision, evaluation = trusted_evaluate(
-        joint, [alice_samples.letters], [bob_samples.letters], spec)
+    decision, secure_bits = trusted_evaluate(
+        lambda a, b: secure_reference_f(a, b, params, seed),
+        alice_samples.letters, bob_samples.letters, spec)
     transcript = Transcript()
     transcript.record("alice", 16)  # shared-randomness seed exchange
-    transcript.record_secure(evaluation.modeled_bits)
+    transcript.record_secure(secure_bits)
     return Verdict(decision, transcript)

@@ -6,8 +6,9 @@ bit-metered channel and returns their outputs together with the transcript.
 Every message is framed with a 4-byte length prefix charged to the sender.
 
 Secure evaluation is modeled, not implemented: :func:`trusted_evaluate` runs
-the joint function in the clear and records the communication a circuit-with-
-lookup-table evaluation of the declared size would cost.
+the joint function in the clear and returns, beside its output, the
+communication a circuit-with-lookup-table evaluation of the declared size
+would cost.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class ConfigError(ValueError):
 
 class ProtocolError(RuntimeError):
     """Protocol execution failed (e.g. both parties waiting to receive)."""
-
-
-class EvaluationError(RuntimeError):
-    """Trusted evaluation failed (e.g. lookup index out of bounds)."""
 
 
 def require_positive(params, *names: str) -> None:
@@ -212,54 +209,19 @@ def polylog_charge(word_bits: int, entries: int,
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Declared size of the joint computation being modeled."""
+    """Declared size of the joint computation being modeled: its lookup
+    gates and the 64-bit words of its lookup table."""
 
     gate_count: int
-    rom_word_bits: int = 64
-    rom_entries: int = 2
-    output_bits: int = 1
-    c_ot: int = DEFAULT_OT_WORD_COST
-
-
-@dataclass(frozen=True)
-class TrustedEvaluation:
-    circuit_gate_count: int
-    rom_word_bits: int
     rom_entries: int
-    output_bits: int
-    modeled_bits: int
+
+    @property
+    def modeled_bits(self) -> int:
+        return self.gate_count * polylog_charge(64, self.rom_entries)
 
 
-class ROM:
-    """Bounds-checked read-only table handed to evaluated functions."""
-
-    def __init__(self, entries):
-        self._entries = list(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index: int):
-        if not 0 <= index < len(self._entries):
-            raise EvaluationError(
-                f"ROM index {index} out of bounds for {len(self._entries)} entries")
-        return self._entries[index]
-
-
-def trusted_evaluate(func, rom_a, rom_b, spec: CircuitSpec):
-    """Evaluate ``func(rom_a, rom_b)`` in the clear and model its secure cost.
-
-    The output is identical to calling ``func`` directly; only the cost
-    accounting differs from a real secure evaluation.
+def trusted_evaluate(func, a, b, spec: CircuitSpec):
+    """``(func(a, b), spec.modeled_bits)``: the joint function run in the
+    clear, and the bits a secure evaluation of the declared size would cost.
     """
-    output = func(ROM(rom_a), ROM(rom_b))
-    modeled = spec.gate_count * polylog_charge(
-        spec.rom_word_bits, spec.rom_entries, spec.c_ot)
-    evaluation = TrustedEvaluation(
-        circuit_gate_count=spec.gate_count,
-        rom_word_bits=spec.rom_word_bits,
-        rom_entries=spec.rom_entries,
-        output_bits=spec.output_bits,
-        modeled_bits=modeled,
-    )
-    return output, evaluation
+    return func(a, b), spec.modeled_bits

@@ -7,6 +7,11 @@ once with Bob's index-aligned samples (simulating the joint law) and once with
 an independent block (simulating the product of marginals).  The two paired
 sample sets are then closeness-tested with the exact squared distance of their
 occurrence vectors, gated by a factor-4 collision-norm agreement check.
+
+A repetition is two halves, :func:`_alice_pool` and :func:`_bob_vote`.  The
+two-way IT2p runs both inside its trusted evaluation; the one-way variant
+runs them on either side of one message.  Same inputs and seed give both
+testers the same votes.
 """
 
 from __future__ import annotations
@@ -62,7 +67,10 @@ def conditioned(p: Distribution, letters) -> Distribution:
 
 
 def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
-    """Draw ``|S1 ∩ S2|`` for a fixed alpha-subset and uniform beta-subset of [n]."""
+    """Draw ``|S1 ∩ S2|`` for a fixed alpha-subset and uniform beta-subset of [n].
+
+    The law of the live-letter count before the cap in :func:`_alice_pool`.
+    """
     if alpha > n or beta > n:
         raise ValueError("subset sizes cannot exceed the ground set")
     if alpha == 0 or beta == 0:
@@ -87,9 +95,6 @@ class IndicesSetVector:
 
     def __getitem__(self, letter: int) -> np.ndarray:
         return self.order[self.boundaries[letter]:self.boundaries[letter + 1]]
-
-    def nonempty_letters(self) -> np.ndarray:
-        return np.flatnonzero(np.diff(self.boundaries))
 
 
 def indices_set_vector(samples: IndexedSampleSet, n: int) -> IndicesSetVector:
@@ -262,61 +267,66 @@ def _exact_distance_sq(x_codes: np.ndarray, y_codes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Repetition:
-    """Everything one repetition computed; kept for the invariant suite."""
+    """One repetition's reduction and vote; kept for the invariant suite."""
 
     sm_a: SplitMap
-    sm_b: SplitMap
-    a_letters: np.ndarray
-    bp_letters: np.ndarray
-    bq_letters: np.ndarray
-    gamma: np.ndarray
-    lam: int
-    chosen: np.ndarray
-    pool: np.ndarray
-    subsets: tuple
-    subset_size: int
-    chi: bool
-    delta: float
-    tau: float
-    abstained: bool
+    live: np.ndarray       # Alice's sampled split letters, ascending
+    pool: np.ndarray       # her sample indices carrying them
+    a_letters: np.ndarray  # her split letters at the pool
+    subsets: tuple         # the four paired subsets, as positions in the pool
     vote: Decision
+
+    @property
+    def lam(self) -> int:
+        return self.live.size
+
+    @property
+    def abstained(self) -> bool:
+        return self.pool.size < 4
 
 
 def _blocks(letters: np.ndarray, t_prime: int, count: int) -> list[np.ndarray]:
     return [letters[i * t_prime:(i + 1) * t_prime] for i in range(count)]
 
 
-def _recast_alice(rep: int, split_block, block, params: ITParams,
-                  shared: SharedRandomness):
-    """Alice's split map from one block and her next block recast onto it,
-    with the recast samples' per-letter index sets."""
+def _alice_pool(rep: int, split_block, block, params: ITParams,
+                shared: SharedRandomness):
+    """Alice's half of a repetition: the letters she keeps and their samples.
+
+    She splits her alphabet by one block and recasts the next onto it.  Her
+    live letters are the split letters of a uniform ell-subset that her
+    recast samples hit; at most ``ceil(100 t' ell / n)`` of them are kept,
+    a uniform subset when the cap binds.  Returns the split map, the live
+    letters, the pool of sample indices carrying them (grouped by letter)
+    and her split letters at the pool.
+    """
     n = params.n
     sm_a = split_map(Multiset.from_letters(split_block[:min(params.t_prime, n)],
                                            n), n)
     a = split_samples(IndexedSampleSet(block, n), sm_a,
                       shared.stream("alice-recast", rep))
-    return sm_a, a, indices_set_vector(a, sm_a.total_letters)
-
-
-def _recast_bob(rep: int, split_block, bp_block, bq_block, params: ITParams,
-                shared: SharedRandomness):
-    """Bob's split map and his joint (p) and product (q) blocks recast onto it."""
-    m = params.m
-    sm_b = split_map(Multiset.from_letters(split_block[:m], m), m)
-    b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
-                        shared.stream("bob-recast-p", rep))
-    b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,
-                        shared.stream("bob-recast-q", rep))
-    return sm_b, b_p, b_q
+    isv = indices_set_vector(a, sm_a.total_letters)
+    ell = min(params.ell_target, sm_a.total_letters)
+    rng = shared.stream("oneway-universe", rep)
+    universe = rng.choice(sm_a.total_letters, size=ell, replace=False)
+    hit = isv.boundaries[universe + 1] > isv.boundaries[universe]
+    live = np.sort(universe[hit])
+    cap = math.ceil(100.0 * params.t_prime * ell / n)
+    if live.size > cap:
+        live = np.sort(rng.choice(live, size=cap, replace=False))
+    pool = (np.concatenate([isv[j] for j in live]) if live.size
+            else np.empty(0, np.int64))
+    return sm_a, live, pool, a.letters[pool]
 
 
 def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
                params: ITParams):
     """Pair, gate on the collision norms, compare the exact distance with tau.
 
-    ``perm`` is a shuffled pool of indices into the three letter arrays; its
-    first four quarters pair Alice's letters with the joint block (p) and
-    the product block (q).  Returns ``(subsets, chi, delta, tau, vote)``.
+    The three letter arrays are Alice's and Bob's two blocks' letters at the
+    pool; ``perm`` shuffles their positions, and its first four quarters
+    pair Alice's letters with the joint block (p) and the product block (q).
+    Returns ``(subsets, vote)``.
     """
     size = min(params.subset_budget, perm.size // 4)
     subsets = tuple(perm[q * size:(q + 1) * size] for q in range(4))
@@ -332,39 +342,39 @@ def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
         chi = True
     delta = _exact_distance_sq(x2, y2)
     tau = threshold_tau(max(1, lam * params.m), size, params.eps_reduced)
-    vote = Decision.SAME if (chi and delta <= tau) else Decision.FAR
-    return subsets, chi, delta, tau, vote
+    return subsets, Decision.SAME if (chi and delta <= tau) else Decision.FAR
+
+
+def _bob_vote(rep: int, split_block, bp_block, bq_block, pool, a_letters,
+              lam: int, params: ITParams, shared: SharedRandomness):
+    """Bob's half of a repetition, given Alice's pool and her letters at it.
+
+    He splits his alphabet by one block, recasts his joint (p) and product
+    (q) blocks onto it, shuffles the pool and votes.  A pool of fewer than
+    four samples abstains (SAME).  Returns ``(subsets, vote)``.
+    """
+    if pool.size < 4:
+        return (), Decision.SAME
+    m = params.m
+    sm_b = split_map(Multiset.from_letters(split_block[:m], m), m)
+    b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
+                        shared.stream("bob-recast-p", rep))
+    b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,
+                        shared.stream("bob-recast-q", rep))
+    perm = shared.stream("oneway-bob", rep).permutation(pool.size)
+    return _pair_vote(perm, a_letters, b_p.letters[pool], b_q.letters[pool],
+                      sm_b.total_letters, lam, params)
 
 
 def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
                    bq_block, params: ITParams, shared: SharedRandomness
                    ) -> Repetition:
-    sm_a, a, isv = _recast_alice(rep, a_split_block, a_block, params, shared)
-    sm_b, b_p, b_q = _recast_bob(rep, b_split_block, bp_block, bq_block, params,
-                                 shared)
-    n_a = sm_a.total_letters
-    gamma = isv.nonempty_letters()
-    ell = min(params.ell_target, n_a)
-    rng = shared.stream("reduction", rep)
-    lam = min(usi_sample(n_a, gamma.size, ell, rng),
-              math.ceil(100.0 * params.t_prime * ell / params.n))
-
-    abstain = Repetition(sm_a, sm_b, a.letters, b_p.letters, b_q.letters,
-                         gamma, lam, np.empty(0, np.int64),
-                         np.empty(0, np.int64), (), 0, True, 0.0, 0.0,
-                         True, Decision.SAME)
-    if lam == 0:
-        return abstain
-    chosen = np.sort(rng.choice(gamma, size=lam, replace=False))
-    pool = np.concatenate([isv[j] for j in chosen])
-    if pool.size < 4:
-        return abstain
-    subsets, chi, delta, tau, vote = _pair_vote(
-        rng.permutation(pool), a.letters, b_p.letters, b_q.letters,
-        sm_b.total_letters, lam, params)
-    return Repetition(sm_a, sm_b, a.letters, b_p.letters, b_q.letters, gamma,
-                      lam, chosen, pool, subsets, subsets[0].size, chi, delta,
-                      tau, False, vote)
+    """Both halves of one repetition in the clear, as IT2p evaluates it."""
+    sm_a, live, pool, a_letters = _alice_pool(rep, a_split_block, a_block,
+                                              params, shared)
+    subsets, vote = _bob_vote(rep, b_split_block, bp_block, bq_block, pool,
+                              a_letters, live.size, params, shared)
+    return Repetition(sm_a, live, pool, a_letters, subsets, vote)
 
 
 def _majority(votes: list[Decision]) -> Decision:
@@ -397,25 +407,17 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
     """Two-way tester; all work is modeled inside the trusted evaluation."""
     _check_inputs(alice, bob, params)
     shared = SharedRandomness(seed)
-
-    def joint(rom_a, rom_b):
-        reps = it2p_votes(IndexedSampleSet(rom_a[0], params.n),
-                          IndexedSampleSet(rom_b[0], params.m), params, shared)
-        return _majority([r.vote for r in reps]), reps
-
     spec = CircuitSpec(
         gate_count=params.votes * max(
             1, math.ceil(params.t_prime * params.ell_target / params.n)),
-        rom_word_bits=64,
         rom_entries=2 * 3 * params.votes * params.t_prime + params.n,
-        output_bits=1,
     )
-    (decision, reps), evaluation = trusted_evaluate(
-        joint, [alice.letters], [bob.letters], spec)
+    reps, secure_bits = trusted_evaluate(
+        lambda a, b: it2p_votes(a, b, params, shared), alice, bob, spec)
     transcript = Transcript()
     transcript.record("alice", 16)  # shared-randomness seed exchange
-    transcript.record_secure(evaluation.modeled_bits)
-    return Verdict(decision, transcript,
+    transcript.record_secure(secure_bits)
+    return Verdict(_majority([r.vote for r in reps]), transcript,
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 
@@ -424,8 +426,8 @@ def _decode_oneway(payload: bytes, reps: int, t_prime: int) -> list:
 
     A repetition is ``<u4 lam`` and, when ``lam > 0``, ``<u4 pool_size``, the
     pool's sample indices (``<u4``, each below ``t_prime``) and Alice's split
-    letters at them (``<u2``).  Every live letter owns an index, so
-    ``pool_size >= lam``.
+    letters at them (``<u2``).  The indices are distinct, and the letters
+    take exactly ``lam`` values: every live letter owns an index.
     """
     offset = 0
 
@@ -442,11 +444,13 @@ def _decode_oneway(payload: bytes, reps: int, t_prime: int) -> list:
     for _ in range(reps):
         lam = int(take(1, "<u4")[0])
         pool_size = int(take(1, "<u4")[0]) if lam else 0
-        if pool_size < lam:
-            raise ProtocolError(f"pool of {pool_size} indices for {lam} letters")
         pool, letters = take(pool_size, "<u4"), take(pool_size, "<u2")
         if pool.size and pool.max() >= t_prime:
             raise ProtocolError("pool index out of range")
+        if np.unique(pool).size != pool.size:
+            raise ProtocolError("repeated pool index")
+        if np.unique(letters).size != lam:
+            raise ProtocolError(f"pool letters are not {lam} distinct letters")
         out.append((lam, pool, letters))
     if offset != len(payload):
         raise ProtocolError("trailing bytes after the one-way payload")
@@ -464,23 +468,15 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
         a_blocks = _blocks(alice.letters, tp, 3 * reps)
         chunks = []
         for i in range(reps):
-            sm_a, a, isv = _recast_alice(i, a_blocks[3 * i], a_blocks[3 * i + 1],
-                                         params, shared)
-            n_a = sm_a.total_letters
-            if n_a >= 1 << 16:
+            sm_a, live, pool, letters = _alice_pool(
+                i, a_blocks[3 * i], a_blocks[3 * i + 1], params, shared)
+            if sm_a.total_letters >= 1 << 16:
                 raise ConfigError("split alphabet too large for wire format")
-            ell = min(params.ell_target, n_a)
-            universe = shared.stream("oneway-universe", i).choice(
-                n_a, size=ell, replace=False)
-            live = np.intersect1d(isv.nonempty_letters(), universe)
-            if live.size == 0:
-                chunks.append(struct.pack("<I", 0))
-                continue
-            pool = np.concatenate([isv[j] for j in live])
-            chunks.append(struct.pack("<II", live.size, pool.size))
-            chunks.append(np.ascontiguousarray(pool, dtype="<u4").tobytes())
-            chunks.append(np.ascontiguousarray(
-                a.letters[pool], dtype="<u2").tobytes())
+            chunks.append(struct.pack("<I", live.size))
+            if live.size:
+                chunks.append(struct.pack("<I", pool.size))
+                chunks.append(np.ascontiguousarray(pool, dtype="<u4").tobytes())
+                chunks.append(np.ascontiguousarray(letters, dtype="<u2").tobytes())
         yield Send(b"".join(chunks))
         return None
 
@@ -488,17 +484,9 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
         payload = yield Recv()
         received = _decode_oneway(payload, reps, tp)
         b_blocks = _blocks(bob.letters, tp, 3 * reps)
-        votes = []
-        for i, (lam, pool, a_letters) in enumerate(received):
-            if pool.size < 4:
-                votes.append(Decision.SAME)
-                continue
-            sm_b, b_p, b_q = _recast_bob(i, *b_blocks[3 * i:3 * i + 3], params,
-                                         shared)
-            perm = shared.stream("oneway-bob", i).permutation(pool.size)
-            votes.append(_pair_vote(perm, a_letters, b_p.letters[pool],
-                                    b_q.letters[pool], sm_b.total_letters, lam,
-                                    params)[-1])
+        votes = [_bob_vote(i, *b_blocks[3 * i:3 * i + 3], pool, a_letters, lam,
+                           params, shared)[1]
+                 for i, (lam, pool, a_letters) in enumerate(received)]
         return _majority(votes), float(np.mean([lam for lam, _, _ in received]))
 
     _, (decision, lam_mean), transcript = run_protocol(alice_program(),

@@ -1,6 +1,7 @@
 """Experiment driver: schemas, determinism, skips, fixtures, instance files."""
 
 import pathlib
+import shlex
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
+    _geomean,
     calibrate,
     fixture_from_text,
     fixture_to_text,
@@ -18,6 +20,7 @@ from disttest2p.cli import (
 from disttest2p.harness import ConfigError
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 def small_cfg(**kw):
@@ -71,6 +74,11 @@ class TestRunExperiment:
         for name, cfg in goldens.items():
             golden = DATA / name
             assert rows_to_csv(run_experiment(cfg)) == golden.read_text(), name
+
+    def test_geomean_of_equal_values_is_exact(self):
+        # a secure cell meters the same bits on every row
+        for count in range(1, 25):
+            assert _geomean([9065168172900] * count) == "9065168172900.0"
 
     def test_independence_lambda_column(self):
         cfg = ExperimentConfig(protocol="independence", ns=(20,), ms=(20,),
@@ -163,6 +171,28 @@ class TestMain:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def readme_cli_commands() -> list:
+    """Arguments of each ``disttest2p ...`` line in README's CLI block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("disttest2p ")]
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path):
+        commands = readme_cli_commands()
+        assert len(commands) == 7
+        for i, args in enumerate(commands):
+            if "--out" in args:
+                at = args.index("--out") + 1
+                args[at] = str(tmp_path / args[at])
+            else:
+                args += ["--out", str(tmp_path / f"stdout{i}.csv")]
+            assert main(args) == 0, shlex.join(args)
 
 
 HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]

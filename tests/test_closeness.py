@@ -188,19 +188,28 @@ def enumerate_adjustment_mean(a_count: int, buckets: int, capped_sq: float):
     return total / buckets ** a_count
 
 
+def adjustment(a, b, s_a, s_b, level, r):
+    """``capped_split_adjustment`` on recasts drawn from ``r``: the a matrix,
+    then the b matrix, each with the union's largest bucket count."""
+    max_buckets = int((1 + s_a.union(s_b).counts).max())
+    am = split_occurrence_matrix(a, max_buckets, r)
+    bm = split_occurrence_matrix(b, max_buckets, r)
+    return capped_split_adjustment(a, b, s_a, s_b, level, am, bm)
+
+
 class TestCappedSplitAdjustment:
     def test_no_split_no_cap(self):
         a = OccurrenceVector([2, 1])
         b = OccurrenceVector([0, 1])
         s_empty = Multiset.from_letters([], 2)
-        assert capped_split_adjustment(a, b, s_empty, s_empty, 10, rng()) == 0.0
+        assert adjustment(a, b, s_empty, s_empty, 10, rng()) == 0.0
 
     def test_capped_only(self):
         # A=(4), B=(0), no split, L=2: 16 - 4 = 12 exactly
         a = OccurrenceVector([4])
         b = OccurrenceVector([0])
         s_empty = Multiset.from_letters([], 1)
-        assert capped_split_adjustment(a, b, s_empty, s_empty, 2, rng()) == 12.0
+        assert adjustment(a, b, s_empty, s_empty, 2, rng()) == 12.0
 
     def test_split_enumeration_mean(self):
         # A=(4,0), B=(0,0), S={letter 0}, L=10: letter 0 splits into 2 buckets,
@@ -213,7 +222,7 @@ class TestCappedSplitAdjustment:
         s_a = Multiset.from_letters([0], 2)
         s_empty = Multiset.from_letters([], 2)
         r = rng(5)
-        draws = [capped_split_adjustment(a, b, s_a, s_empty, 10, r)
+        draws = [adjustment(a, b, s_a, s_empty, 10, r)
                  for _ in range(4000)]
         assert max(draws) <= 0.0
         assert np.mean(draws) == pytest.approx(exact, abs=0.2)

@@ -12,10 +12,8 @@ import disttest2p
 from disttest2p.harness import (
     FRAME_BYTES,
     CircuitSpec,
-    EvaluationError,
     ProtocolError,
     Recv,
-    ROM,
     Send,
     SharedRandomness,
     Transcript,
@@ -133,7 +131,6 @@ STREAM_SEEDS = {
     "ct2p-sketch": (0xFFCD36A972928EA2, 0x6C5DD33DA068D741),
     "oneway-bob": (0x217DD7289A74D9B7, 0x98AD70EBC2781C9D),
     "oneway-universe": (0xEB82AE0A91D95274, 0xEABC31214C3BFC77),
-    "reduction": (0xD14478742C004076, 0x16EC322A1A894292),
     "rotation": (0x7F378984152FB674, 0xAEC0326A588943C1),
     "split": (0x40A6CD351B0D85BF, 0xD7605C30165339F5),
 }
@@ -207,10 +204,10 @@ class TestSharedRandomness:
 
 class TestTrustedEvaluate:
     def test_constant_function_cost(self):
-        spec = CircuitSpec(gate_count=1, rom_word_bits=8, rom_entries=2)
-        out, ev = trusted_evaluate(lambda ra, rb: 1, [0], [0], spec)
+        spec = CircuitSpec(gate_count=3, rom_entries=2)
+        out, bits = trusted_evaluate(lambda ra, rb: 1, [0], [0], spec)
         assert out == 1
-        assert ev.modeled_bits == polylog_charge(8, 2)
+        assert bits == spec.modeled_bits == 3 * polylog_charge(64, 2)
 
     def test_single_lookup_example(self):
         # one 64-bit word among 2^20 entries: 64 * 400 * c_ot modeled bits
@@ -226,14 +223,3 @@ class TestTrustedEvaluate:
         spec = CircuitSpec(gate_count=len(bits), rom_entries=len(bits))
         out, _ = trusted_evaluate(majority, bits, [], spec)
         assert out == int(sum(bits) * 2 > len(bits))
-
-    def test_rom_out_of_bounds(self):
-        spec = CircuitSpec(gate_count=1)
-        with pytest.raises(EvaluationError):
-            trusted_evaluate(lambda ra, rb: ra[5], [1, 2], [], spec)
-
-    def test_rom_indexing(self):
-        rom = ROM([10, 20])
-        assert rom[1] == 20
-        with pytest.raises(EvaluationError):
-            rom[-1]

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from disttest2p.harness import (
 )
 from disttest2p.independence import (
     ITParams,
+    _alice_pool,
     _decode_oneway,
     JointDistribution,
     conditioned,
@@ -138,7 +140,6 @@ class TestIndicesSetVector:
         assert isv.n == n
         for j in (range(n) if n < 300 else np.unique(np.append(letters, 0))):
             assert np.array_equal(isv[j], np.flatnonzero(letters == j))
-        assert np.array_equal(isv.nonempty_letters(), np.unique(letters))
 
 
 class TestJointDistribution:
@@ -259,9 +260,8 @@ class TestRepetitionPipeline:
         joint = diagonal_joint(20, 20)
         rep = self.run_one(joint, 3)
         assert not rep.abstained
-        chosen = set(rep.chosen.tolist())
-        for idx in rep.pool:
-            assert int(rep.a_letters[idx]) in chosen
+        assert np.unique(rep.pool).size == rep.pool.size
+        assert np.array_equal(np.unique(rep.a_letters), rep.live)
 
     def test_paired_sample_law_matches_reduced_joint(self):
         # For a fixed reduction (split multisets and letter set), the pairs
@@ -304,6 +304,55 @@ class TestRepetitionPipeline:
             truth[row_letter * m_b:(row_letter + 1) * m_b] = p_hat.probs[row_idx]
         hist = np.bincount(codes, minlength=truth.size) / wanted
         assert 0.5 * np.abs(hist - truth).sum() < 0.05
+
+
+class TestAlicePool:
+    """``_alice_pool`` in law against the sampler it replaced in IT2p:
+    lambda = min(usi_sample(n_a, |Gamma|, ell), cap), then a uniform
+    lambda-subset of Gamma."""
+
+    def compare(self, params, split_block, block, trials=4000):
+        n = params.n
+        sm_a = split_map(Multiset.from_letters(
+            split_block[:min(params.t_prime, n)], n), n)
+        # the block avoids the split letters, so its recast, Gamma, is fixed
+        gamma = np.unique(sm_a.offsets[block])
+        n_a = sm_a.total_letters
+        ell = min(params.ell_target, n_a)
+        cap = math.ceil(100.0 * params.t_prime * ell / n)
+        shared, r = SharedRandomness(77), rng(78)
+        lam = np.zeros((2, trials), dtype=np.int64)
+        hits = np.zeros((2, n_a))
+        for i in range(trials):
+            _, live, pool, letters = _alice_pool(i, split_block, block, params,
+                                                 shared)
+            assert np.array_equal(np.unique(letters), live)
+            lam[0, i] = live.size
+            hits[0, live] += 1
+            lam[1, i] = min(usi_sample(n_a, gamma.size, ell, r), cap)
+            hits[1, r.choice(gamma, size=lam[1, i], replace=False)] += 1
+        hist = np.array([np.bincount(row, minlength=ell + 1) for row in lam])
+        for counts in (hist, hits):  # frequencies agree within 3 SE
+            p = counts.sum(axis=0) / (2 * trials)
+            se = np.sqrt(p * (1 - p) * 2 / trials)
+            assert np.all(np.abs(counts[0] - counts[1]) / trials <= 3 * se)
+        return lam[0], cap
+
+    def test_law_without_cap(self):
+        params = minimal_params()  # t' = 888, ell = 24 of n_a = 40 letters
+        split_block = np.zeros(params.t_prime, dtype=np.int64)
+        block = rng(5).integers(1, params.n, params.t_prime)
+        lam, cap = self.compare(params, split_block, block)
+        assert lam.max() < cap and lam.std() > 1
+
+    def test_law_when_the_cap_binds(self):
+        # A valid ITParams caps at about 100 times the expected lambda, so
+        # the cap binds only in far tails.  This stand-in (one sample per
+        # set, n = 200, ell = 50) caps at 25, where lambda ~ 25 +- 3.
+        params = types.SimpleNamespace(n=200, t_prime=1, ell_target=50)
+        lam, cap = self.compare(params, np.zeros(1, dtype=np.int64),
+                                np.arange(1, 101))
+        assert cap == 25 and 0.3 < np.mean(lam == cap) < 0.7
 
 
 class TestIT2P:
@@ -373,7 +422,6 @@ class TestOneWay:
         params = minimal_params()
         prod = product_joint(uniform_distribution(20), uniform_distribution(20))
         diag = diagonal_joint(20, 20)
-        agree = 0
         trials = 60
         for trial in range(trials):
             r = rng(5000 + trial)
@@ -381,8 +429,8 @@ class TestOneWay:
             a, b = joint.sample_joint(params.t, r)
             v1 = it2p(a, b, params, trial)
             v2 = one_way_it2p(a, b, params, trial)
-            agree += v1.decision == v2.decision
-        assert agree >= 0.9 * trials
+            # one repetition code on both sides: the same votes and lambdas
+            assert (v1.decision, v1.lambda_mean) == (v2.decision, v2.lambda_mean)
 
     def test_single_message_and_bit_budget(self):
         params = minimal_params()
@@ -440,8 +488,14 @@ class TestOneWayWire:
         oneway_rep(1, [0, 1], [0, 0]) + b"\x00",
         oneway_rep(1, [0, 6], [0, 0]),
         oneway_rep(3, [0, 1], [0, 0]),
+        oneway_rep(2, [1, 1, 2, 3], [7, 7, 8, 8]),
+        oneway_rep(2, [1, 1, 1, 1], [7, 7, 7, 7]),
+        oneway_rep(2, [0, 1, 2], [7, 7, 7]),
+        oneway_rep(1, [0, 1], [3, 4]),
     ], ids=["empty", "short-header", "no-pool-size", "truncated-body",
-            "trailing", "index-ge-t-prime", "pool-below-lambda"])
+            "trailing", "index-ge-t-prime", "pool-below-lambda",
+            "repeated-index", "one-repeated-index", "letters-below-lambda",
+            "letters-above-lambda"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(ProtocolError):
             _decode_oneway(payload, 1, 6)
@@ -464,3 +518,5 @@ class TestOneWayWire:
         for lam, pool, letters in decoded:
             assert pool.size == letters.size >= lam
             assert pool.size == 0 or pool.max() < t_prime
+            assert np.unique(pool).size == pool.size
+            assert np.unique(letters).size == lam

@@ -252,7 +252,11 @@ class TestWirePayloads:
     @pytest.mark.parametrize("payload", [
         b"", b"\x01\x00", struct.pack("<I", 2) + struct.pack("<II", 1, 1),
         struct.pack("<III", 1, 1, 1) + b"\x00", struct.pack("<III", 1, 5, 1),
-    ], ids=["empty", "short-count", "truncated", "trailing", "letter-ge-n"])
+        struct.pack("<7I", 3, 3, 2, 3, 5, 1, 0),
+        struct.pack("<III", 1, 1, 0),
+        struct.pack("<5I", 2, 3, 1, 1, 1),
+    ], ids=["empty", "short-count", "truncated", "trailing", "letter-ge-n",
+            "repeated-letter", "zero-multiplicity", "descending"])
     def test_bad_multiset_rejected(self, payload):
         with pytest.raises(ProtocolError):
             _decode_multiset(payload, 5)
@@ -268,7 +272,11 @@ class TestWirePayloads:
 
     @given(st.one_of(st.binary(max_size=120),
                      st.builds(lambda count, body: struct.pack("<I", count) + body,
-                               st.integers(0, 12), st.binary(max_size=100))),
+                               st.integers(0, 12), st.binary(max_size=100)),
+                     st.lists(st.tuples(st.integers(0, 45), st.integers(0, 3)),
+                              max_size=6).map(
+                         lambda items: struct.pack("<I", len(items)) + b"".join(
+                             struct.pack("<II", *item) for item in items))),
            st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
     def test_fuzzed_multiset_raises_only_protocol_error(self, payload, n):
@@ -277,6 +285,8 @@ class TestWirePayloads:
         except ProtocolError:
             return
         assert decoded.counts.size == n
+        # only the encoding of a multiset decodes, to that multiset
+        assert _encode_multiset(decoded) == payload
 
     @given(st.one_of(st.binary(max_size=120),
                      st.builds(lambda count, body: struct.pack("<I", count) + body,
