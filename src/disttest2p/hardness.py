@@ -8,10 +8,11 @@ against.  ``bhh_reduce`` turns a hidden-matching instance into an unbounded
 stream of index-aligned sample pairs that are exactly product (hidden bit 1)
 or maximally far from product (hidden bit 0).
 
-All Poisson rates of the occurrence-vector construction are checked for
-nonnegativity at parameter-construction time: the guarantees behind the
-default parameter formulas are asymptotic, and outside their regime the
-generator refuses to run rather than silently truncating.
+``GHDReductionParams`` writes every Poisson rate of the occurrence-vector
+construction once, into one table that is checked for nonnegativity at
+construction and is all the reduction draws from: the default formulas are
+asymptotic, and outside their regime the generator refuses to run rather
+than silently truncating.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def ghd_generate_inputs(m: int, case: str, rng: np.random.Generator,
     return GHDInput(x, y, case, beta)
 
 
+def _table():  # a derived field, kept out of the constructor, repr and ==
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class GHDReductionParams:
     """Construction parameters of the GHD -> closeness reduction.
@@ -113,6 +118,13 @@ class GHDReductionParams:
     beta: float = 0.0   # 0 means default_beta(m)
     k_cap: int = field(init=False)
     d: int = field(init=False)
+    # The rate table, by item profile (i, j) over 0..k_cap, with D_i and L_i
+    # the dense and large pmfs; i or j = 0 marks an item one party does not
+    # see, and (i, 0) and (0, i) share a rate except at step 2.
+    per_coord: np.ndarray = _table()     # D_i D_j, one-sided sum_{j>=1} D_i D_j
+    shared_rates: np.ndarray = _table()  # step 1: large share of the coordinates
+    solo_rates: np.ndarray = _table()    # step 2: dense letters one party sees
+    topup_rates: np.ndarray = _table()   # steps 3, 4: l_big L_i L_j - shared
 
     def __post_init__(self):
         if self.n < 10:
@@ -143,40 +155,47 @@ class GHDReductionParams:
             object.__setattr__(self, "beta", default_beta(self.m))
         if self.beta > self.m / 4:
             raise ConfigError("beta cannot exceed m/4 (m_c would be negative)")
+
+        profiles = range(self.k_cap + 1)
+        dense = np.array([poisson_pmf(i, self.t / (2.0 * self.d)) for i in profiles])
+        large = np.array([self.large_pmf(i) for i in profiles])
+        per_coord = np.multiply.outer(dense, dense)
+        # a running sum adds left to right, as a scalar loop does
+        dsum = np.cumsum(per_coord[:, 1:], axis=1)[:, -1]
+        per_coord[:, 0] = per_coord[0, :] = dsum
+        per_coord.flags.writeable = False
+        object.__setattr__(self, "per_coord", per_coord)
+        shared = self.step1_rates(self.m / 4.0 - self.beta, self.m / 4.0)
+        topup = np.multiply.outer(self.l_big * large, large) - shared
+        topup[0, :] = topup[:, 0]
+        solo = np.multiply.outer(self.d * dense, dense)
+        for name, table in (("shared_rates", shared), ("solo_rates", solo),
+                            ("topup_rates", topup)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         self._validate_rates()
 
-    @property
-    def dense_rate(self) -> float:
-        return self.t / (2.0 * self.d)
-
-    @property
-    def large_rate(self) -> float:
-        return self.t / (2.0 * self.l_big)
-
-    def dense_pmf(self, i: int) -> float:
-        return poisson_pmf(i, self.dense_rate)
-
     def large_pmf(self, i: int) -> float:
-        return poisson_pmf(i, self.large_rate)
+        return poisson_pmf(i, self.t / (2.0 * self.l_big))
+
+    def step1_rates(self, pair_share: float, one_sided_share: float) -> np.ndarray:
+        """Step 1's rates for a share of the (1,1) coordinates and of the
+        one-sided ones, each coordinate standing for d/beta dense letters."""
+        scale = self.d / self.beta
+        rates = pair_share * scale * self.per_coord
+        rates[:, 0] = rates[0, :] = one_sided_share * scale * self.per_coord[:, 0]
+        return rates
 
     def _validate_rates(self):
-        m_c = self.m / 4.0 - self.beta
-        scale = self.d / self.beta
-        k = self.k_cap
-        dsum = {i: sum(self.dense_pmf(i) * self.dense_pmf(j)
-                       for j in range(1, k + 1)) for i in range(1, k + 1)}
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                rate = (self.l_big * self.large_pmf(i) * self.large_pmf(j)
-                        - m_c * scale * self.dense_pmf(i) * self.dense_pmf(j))
-                if rate < 0:
-                    raise ConfigError(
-                        f"negative pair rate at (i,j)=({i},{j}): {rate:.3g}")
-            one_sided = (self.l_big * self.large_pmf(i) * self.large_pmf(0)
-                         - self.m / 4.0 * scale * dsum[i])
-            if one_sided < 0:
-                raise ConfigError(
-                    f"negative one-sided rate at (i,0): {one_sided:.3g}")
+        """Refuse the first negative top-up rate, taking each row's pair cells
+        (i, 1..k_cap) before its one-sided cell (i, 0)."""
+        order = np.r_[1:self.k_cap + 1, 0]
+        bad = np.argwhere(self.topup_rates[1:, order] < 0)
+        if bad.size:
+            i, j = int(bad[0, 0]) + 1, int(order[bad[0, 1]])
+            kind = "pair" if j else "one-sided"
+            raise ConfigError(f"negative {kind} rate at (i,j)=({i},{j}): "
+                              f"{self.topup_rates[i, j]:.3g}")
 
 
 @dataclass(frozen=True)
@@ -188,76 +207,55 @@ class GHDReduceDiagnostics:
     occupied_letters: int
 
 
+def _profile_counts(counts: np.ndarray) -> dict:
+    return {(int(i), int(j)): int(counts[i, j])
+            for i, j in zip(*np.nonzero(counts))}
+
+
 def ghd_reduce_detailed(inp: GHDInput, params: GHDReductionParams,
                         rng: np.random.Generator):
     """The reduction with per-step diagnostics; see :func:`ghd_reduce`."""
     if inp.m != params.m:
         raise ConfigError("input length does not match params.m")
+    if inp.case not in ("SAME", "FAR"):
+        raise ConfigError(f"input case must be SAME or FAR, not {inp.case!r}")
     delta = inp.delta
     if delta != int(delta):
         raise ConfigError("input distance gap must be even")
     delta = int(delta)
+    if inp.case == "SAME" and delta != 0:
+        raise ConfigError(f"same input has distance gap {2 * delta}, not 0")
     if inp.case == "FAR" and not 0 < delta <= params.beta:
         raise ConfigError("far input's gap is outside (0, beta]")
 
     k = params.k_cap
-    m_c = params.m / 4.0 - params.beta
-    scale = params.d / params.beta
-    n11 = params.m // 4 - delta
-    n10 = params.m // 4 + delta
-    dense_11 = params.beta - delta  # analysis' dense share of the (1,1) coords
-
-    total: dict = {}
-    large: dict = {}
-
-    def emit(i, j, count, tagged_large):
-        if count <= 0:
-            return
-        total[(i, j)] = total.get((i, j), 0) + count
-        if tagged_large:
-            large[(i, j)] = large.get((i, j), 0) + count
-
-    dpm = [params.dense_pmf(i) for i in range(k + 1)]
-    lpm = [params.large_pmf(i) for i in range(k + 1)]
-    dsum = [sum(dpm[i] * dpm[j] for j in range(1, k + 1)) for i in range(k + 1)]
-
+    # step 1's dense shares, by the analysis attribution
+    dense = params.step1_rates(params.beta - delta, delta)
+    # one scalar draw per table and cell, in a fixed order; nested lists,
+    # since numpy's per-item access costs more than the draw loop saves
+    rates = [r.tolist() for r in (params.shared_rates, dense,
+                                  params.solo_rates, params.topup_rates)]
+    drawn = [[[0] * (k + 1) for _ in range(k + 1)] for _ in rates]
     for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            dd = dpm[i] * dpm[j]
-            # step 1, (1,1) coordinates; split by the analysis attribution
-            emit(i, j, rng.poisson(m_c * scale * dd), True)
-            emit(i, j, rng.poisson(dense_11 * scale * dd), False)
-            # step 3: top up pairs to the planted large-item law
-            rate3 = params.l_big * lpm[i] * lpm[j] - m_c * scale * dd
-            emit(i, j, rng.poisson(rate3), True)
-        # step 1, one-sided coordinates (large share m/4, dense share delta)
-        emit(i, 0, rng.poisson(params.m / 4.0 * scale * dsum[i]), True)
-        emit(0, i, rng.poisson(params.m / 4.0 * scale * dsum[i]), True)
-        emit(i, 0, rng.poisson(delta * scale * dsum[i]), False)
-        emit(0, i, rng.poisson(delta * scale * dsum[i]), False)
-        # step 2: dense letters seen by one party only
-        emit(i, 0, rng.poisson(params.d * dpm[i] * dpm[0]), False)
-        emit(0, i, rng.poisson(params.d * dpm[0] * dpm[i]), False)
-        # step 4: top up one-sided pairs
-        rate4 = params.l_big * lpm[i] * lpm[0] - params.m / 4.0 * scale * dsum[i]
-        emit(i, 0, rng.poisson(rate4), True)
-        emit(0, i, rng.poisson(rate4), True)
-
-    occupied = sum(total.values())
+        for j in range(1, k + 1):  # steps 1 and 3; step 2 is one-sided only
+            for s in (0, 1, 3):  # shared, dense, top-up
+                drawn[s][i][j] = rng.poisson(rates[s][i][j])
+        for rate, count in zip(rates, drawn):  # steps 1, 2 and 4, one-sided
+            count[i][0] = rng.poisson(rate[i][0])
+            count[0][i] = rng.poisson(rate[0][i])
+    drawn = np.array(drawn, dtype=np.int64)  # shared, dense, solo, top-up
+    total, large = drawn.sum(axis=0), drawn[0] + drawn[3]
+    occupied = int(total.sum())
     if occupied > params.n:
         raise ConfigError(
             f"construction emitted {occupied} letters, more than n={params.n}")
 
-    a = np.zeros(params.n, dtype=np.int64)
-    b = np.zeros(params.n, dtype=np.int64)
-    pos = 0
-    for (i, j), count in sorted(total.items()):
-        a[pos:pos + count] = i
-        b[pos:pos + count] = j
-        pos += count
-    perm = rng.permutation(params.n)  # shared: the same relabeling on both sides
-    a, b = a[perm], b[perm]
-    diag = GHDReduceDiagnostics(total, large, occupied)
+    ab = np.zeros((2, params.n), dtype=np.int64)
+    ab[:, :occupied] = np.repeat(np.indices(total.shape).reshape(2, -1),
+                                 total.ravel(), axis=1)
+    a, b = ab[:, rng.permutation(params.n)]  # one relabeling for both sides
+    diag = GHDReduceDiagnostics(_profile_counts(total), _profile_counts(large),
+                                occupied)
     return OccurrenceVector(a), OccurrenceVector(b), diag
 
 

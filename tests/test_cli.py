@@ -70,6 +70,9 @@ class TestRunExperiment:
             "golden_independence_oneway.csv": ExperimentConfig(
                 protocol="independence-oneway", ns=(100,), ms=(100,),
                 ts=(40000,), epss=(1.0,), ks=(2,), trials=2, seed=424242),
+            "golden_independence.csv": ExperimentConfig(
+                protocol="independence", ns=(20,), ms=(20,), ts=(8000,),
+                epss=(1.0,), ks=(2,), trials=2, seed=424242),
         }
         for name, cfg in goldens.items():
             golden = DATA / name
@@ -162,6 +165,15 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0] == "case=FAR n=2000 t=62 seed=3"
         assert "A" in lines and "B" in lines
+
+    def test_hardgen_golden_files(self, tmp_path):
+        # pins the GHD reduction's draws and letter layout, byte for byte
+        for case in ("SAME", "FAR"):
+            name = f"golden_hardgen_ghd_{case.lower()}.txt"
+            out = tmp_path / name
+            assert main(HARDGEN + GHD_CONSTANTS + [
+                "--kind", "ghd", "--case", case, "--out", str(out)]) == 0
+            assert out.read_text() == (DATA / name).read_text(), name
 
     def test_hardgen_deterministic(self, tmp_path):
         args = ["hardgen", "--case", "SAME", "--n", "2000", "--t", "62",

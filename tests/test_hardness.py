@@ -1,14 +1,19 @@
 """Hard-instance generators and their statistical validators."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from disttest2p import hardness
 from disttest2p.harness import ConfigError
 from disttest2p.hardness import (
     BHHInstance,
+    GHDInput,
     GHDReductionParams,
     bhh_generate,
     bhh_reduce,
@@ -98,6 +103,102 @@ class TestReductionParams:
             GHDReductionParams(**{**FEASIBLE, **override})
 
 
+def scalar_rate_check(n, t, m, beta, l_big):
+    """The step-rate check as a scalar loop, one pmf call per use: the
+    reference the rate table is held to.  Returns the refusal or None.
+
+    The pair rate is multiplied as the reduction draws it, m_c s (D_i D_j).
+    Checked as (m_c s D_i) D_j, it differs in the last bit when D_i D_j is
+    subnormal, and at n=13, t=821, m=48, beta=3.4455..., l_big=1 such a
+    check refuses on a cell whose drawn rate is not negative."""
+    d, k = n // 10, math.ceil(3 * math.log(n))
+
+    def dense(i):
+        return poisson_pmf(i, t / (2.0 * d))
+
+    def large(i):
+        return poisson_pmf(i, t / (2.0 * l_big))
+
+    m_c = m / 4.0 - beta
+    scale = d / beta
+    dsum = {i: sum(dense(i) * dense(j) for j in range(1, k + 1))
+            for i in range(1, k + 1)}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            rate = (l_big * large(i) * large(j)
+                    - m_c * scale * (dense(i) * dense(j)))
+            if rate < 0:
+                return f"negative pair rate at (i,j)=({i},{j})"
+        one_sided = l_big * large(i) * large(0) - m / 4.0 * scale * dsum[i]
+        if one_sided < 0:
+            return f"negative one-sided rate at (i,j)=({i},0)"
+    return None
+
+
+def scalar_rates(params, delta):
+    """Each rate the reduction draws, per cell, as a scalar formula with the
+    reduction's order of multiplication: the reference for the table."""
+    k, d, l_big = params.k_cap, params.d, params.l_big
+    dpm = [poisson_pmf(i, params.t / (2.0 * d)) for i in range(k + 1)]
+    lpm = [params.large_pmf(i) for i in range(k + 1)]
+    dsum = [sum(dpm[i] * dpm[j] for j in range(1, k + 1)) for i in range(k + 1)]
+    m_c = params.m / 4.0 - params.beta
+    scale = d / params.beta
+    cells = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            dd = dpm[i] * dpm[j]
+            cells[(i, j)] = dict(
+                shared=m_c * scale * dd, dense=(params.beta - delta) * scale * dd,
+                topup=l_big * lpm[i] * lpm[j] - m_c * scale * dd)
+        one_sided = dict(shared=params.m / 4.0 * scale * dsum[i],
+                         dense=delta * scale * dsum[i],
+                         topup=(l_big * lpm[i] * lpm[0]
+                                - params.m / 4.0 * scale * dsum[i]))
+        cells[(i, 0)] = dict(one_sided, solo=d * dpm[i] * dpm[0])
+        cells[(0, i)] = dict(one_sided, solo=d * dpm[0] * dpm[i])
+    return cells
+
+
+class TestRateTable:
+    @settings(max_examples=60, deadline=None)
+    @example(n=10, t=795, quarter_m=1, beta_frac=0.25, l_big=1, delta_frac=0.0)
+    @given(n=st.integers(10, 10 ** 5), t=st.integers(1, 10 ** 4),
+           quarter_m=st.integers(1, 64), beta_frac=st.floats(0.01, 1.0),
+           l_big=st.integers(1, 10 ** 4), delta_frac=st.floats(0.0, 1.0))
+    def test_table_matches_scalar_loop(self, n, t, quarter_m, beta_frac, l_big,
+                                       delta_frac):
+        m, beta = 4 * quarter_m, beta_frac * quarter_m
+        expected = scalar_rate_check(n, t, m, beta, l_big)
+        try:
+            params = GHDReductionParams(n=n, t=t, m=m, beta=beta, l_big=l_big)
+        except ConfigError as err:
+            assert expected is not None and str(err).startswith(expected + ":")
+            return
+        assert expected is None
+        delta = math.floor(delta_frac * beta)
+        tables = dict(shared=params.shared_rates, solo=params.solo_rates,
+                      topup=params.topup_rates,
+                      dense=params.step1_rates(params.beta - delta, delta))
+        for cell, rates in scalar_rates(params, delta).items():
+            for name, rate in rates.items():
+                assert tables[name][cell] == rate, (cell, name)
+
+    def test_pmfs_computed_once_per_params(self):
+        with mock.patch.object(hardness, "poisson_pmf",
+                               side_effect=poisson_pmf) as pmf:
+            params = GHDReductionParams(**FEASIBLE)
+            assert pmf.call_count == 2 * (params.k_cap + 1)
+            r = rng(22)
+            ghd_reduce(ghd_generate_inputs(32, "FAR", r, beta=8.0), params, r)
+            assert pmf.call_count == 2 * (params.k_cap + 1)
+
+    def test_table_is_read_only(self):
+        params = GHDReductionParams(**FEASIBLE)
+        with pytest.raises(ValueError):
+            params.topup_rates[1, 1] = -1.0
+
+
 class TestGHDReduce:
     def test_letter_budget_and_totals(self):
         params = GHDReductionParams(**FEASIBLE)
@@ -135,6 +236,21 @@ class TestGHDReduce:
             lam = params.l_big * params.large_pmf(i) * params.large_pmf(j)
             mean = sums[(i, j)] / runs
             assert abs(mean - lam) <= 3 * math.sqrt(lam / runs) + 1e-9
+
+    @pytest.mark.parametrize("case,distance,refusal", [
+        ("SAME", 32, "same input"), ("SAME", 0, "same input"),
+        ("far", 32, "SAME or FAR"), ("far", 0, "SAME or FAR"),
+    ])  # distance 32 is gap +16 (delta 8), distance 0 is gap -16
+    def test_case_label_checked(self, case, distance, refusal):
+        # unchecked, the delta = 8 inputs would be reduced with far rates,
+        # and at delta = -8 numpy would refuse a negative rate
+        params = GHDReductionParams(**FEASIBLE)
+        x = np.repeat([1, 0], 16)
+        y = 1 - x if distance else x.copy()
+        inp = GHDInput(x, y, case, 8.0)
+        assert inp.distance == distance
+        with pytest.raises(ConfigError, match=refusal):
+            ghd_reduce(inp, params, rng())
 
     def test_mismatched_m_rejected(self):
         params = GHDReductionParams(**FEASIBLE)
