@@ -10,9 +10,9 @@ or maximally far from product (hidden bit 0).
 
 ``GHDReductionParams`` writes every Poisson rate of the occurrence-vector
 construction once, into one table that is checked for nonnegativity at
-construction and is all the reduction draws from: the default formulas are
-asymptotic, and outside their regime the generator refuses to run rather
-than silently truncating.
+construction; the reduction draws all its counts from it in one array call,
+in a fixed cell order.  The default formulas are asymptotic, and outside
+their regime the generator refuses to run rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -125,6 +125,9 @@ class GHDReductionParams:
     shared_rates: np.ndarray = _table()  # step 1: large share of the coordinates
     solo_rates: np.ndarray = _table()    # step 2: dense letters one party sees
     topup_rates: np.ndarray = _table()   # steps 3, 4: l_big L_i L_j - shared
+    # flat cells of the stacked (shared, dense, solo, top-up) tables in draw
+    # order: per row i, pair cells (i, j>=1) of all but solo, then (i,0), (0,i)
+    draw_order: np.ndarray = _table()
 
     def __post_init__(self):
         if self.n < 10:
@@ -169,8 +172,13 @@ class GHDReductionParams:
         topup = np.multiply.outer(self.l_big * large, large) - shared
         topup[0, :] = topup[:, 0]
         solo = np.multiply.outer(self.d * dense, dense)
+        k1, stride = self.k_cap + 1, (self.k_cap + 1) ** 2
+        i = np.arange(1, k1)[:, None]  # 1..k_cap: rows i, and pair columns j
+        pair = i * k1 + (i + [0, stride, 3 * stride]).ravel()
+        one_sided = i * ([k1, 1] * 4) + np.arange(4).repeat(2) * stride
+        order = np.concatenate((pair, one_sided), axis=1).ravel()
         for name, table in (("shared_rates", shared), ("solo_rates", solo),
-                            ("topup_rates", topup)):
+                            ("topup_rates", topup), ("draw_order", order)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         self._validate_rates()
@@ -200,11 +208,14 @@ class GHDReductionParams:
 
 @dataclass(frozen=True)
 class GHDReduceDiagnostics:
-    """Per-profile item counts, with the analysis' large/dense attribution."""
+    """Per-profile item counts, with the analysis' large/dense attribution;
+    ``total`` and ``large`` are the nonzero cells, as {(i, j): count}."""
 
-    total: dict
-    large: dict
+    total_counts: np.ndarray  # by item profile (i, j), 0 <= i, j <= k_cap
+    large_counts: np.ndarray
     occupied_letters: int
+    total = property(lambda self: _profile_counts(self.total_counts))
+    large = property(lambda self: _profile_counts(self.large_counts))
 
 
 def _profile_counts(counts: np.ndarray) -> dict:
@@ -228,22 +239,12 @@ def ghd_reduce_detailed(inp: GHDInput, params: GHDReductionParams,
     if inp.case == "FAR" and not 0 < delta <= params.beta:
         raise ConfigError("far input's gap is outside (0, beta]")
 
-    k = params.k_cap
-    # step 1's dense shares, by the analysis attribution
-    dense = params.step1_rates(params.beta - delta, delta)
-    # one scalar draw per table and cell, in a fixed order; nested lists,
-    # since numpy's per-item access costs more than the draw loop saves
-    rates = [r.tolist() for r in (params.shared_rates, dense,
-                                  params.solo_rates, params.topup_rates)]
-    drawn = [[[0] * (k + 1) for _ in range(k + 1)] for _ in rates]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):  # steps 1 and 3; step 2 is one-sided only
-            for s in (0, 1, 3):  # shared, dense, top-up
-                drawn[s][i][j] = rng.poisson(rates[s][i][j])
-        for rate, count in zip(rates, drawn):  # steps 1, 2 and 4, one-sided
-            count[i][0] = rng.poisson(rate[i][0])
-            count[0][i] = rng.poisson(rate[0][i])
-    drawn = np.array(drawn, dtype=np.int64)  # shared, dense, solo, top-up
+    dense = params.step1_rates(params.beta - delta, delta)  # step 1's dense shares
+    rates = np.stack((params.shared_rates, dense, params.solo_rates,
+                      params.topup_rates))
+    # one array draw: numpy draws element by element, in the given order
+    drawn, order = np.zeros(rates.shape, dtype=np.int64), params.draw_order
+    drawn.flat[order] = rng.poisson(rates.flat[order])
     total, large = drawn.sum(axis=0), drawn[0] + drawn[3]
     occupied = int(total.sum())
     if occupied > params.n:
@@ -254,8 +255,7 @@ def ghd_reduce_detailed(inp: GHDInput, params: GHDReductionParams,
     ab[:, :occupied] = np.repeat(np.indices(total.shape).reshape(2, -1),
                                  total.ravel(), axis=1)
     a, b = ab[:, rng.permutation(params.n)]  # one relabeling for both sides
-    diag = GHDReduceDiagnostics(_profile_counts(total), _profile_counts(large),
-                                occupied)
+    diag = GHDReduceDiagnostics(total, large, occupied)
     return OccurrenceVector(a), OccurrenceVector(b), diag
 
 

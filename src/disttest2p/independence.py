@@ -147,9 +147,8 @@ class JointDistribution:
     def sample_joint(self, t: int, rng: np.random.Generator
                      ) -> tuple[IndexedSampleSet, IndexedSampleSet]:
         """t index-aligned draws; sample i is one joint draw shared by Alice/Bob."""
-        flat = draw(self.probs.ravel(), t, rng)
-        return (IndexedSampleSet(flat // self.m, self.n),
-                IndexedSampleSet(flat % self.m, self.m))
+        rows, cols = np.divmod(draw(self.probs.ravel(), t, rng), self.m)
+        return IndexedSampleSet(rows, self.n), IndexedSampleSet(cols, self.m)
 
 
 def product_joint(p1: Distribution, p2: Distribution) -> JointDistribution:

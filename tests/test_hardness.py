@@ -160,6 +160,35 @@ def scalar_rates(params, delta):
     return cells
 
 
+def scalar_reduce(inp, params, rng):
+    """The reduction as a scalar loop, one ``rng.poisson`` call per table and
+    cell, followed by the letter layout and one relabeling: the reference the
+    array draw is held to.  Returns a, b, the total and large count arrays
+    and the occupied letters, or raises on the letter budget."""
+    k, delta = params.k_cap, int(inp.delta)
+    rates = [r.tolist() for r in (params.shared_rates,
+                                  params.step1_rates(params.beta - delta, delta),
+                                  params.solo_rates, params.topup_rates)]
+    drawn = [[[0] * (k + 1) for _ in range(k + 1)] for _ in rates]
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):  # steps 1 and 3; step 2 is one-sided only
+            for s in (0, 1, 3):  # shared, dense, top-up
+                drawn[s][i][j] = rng.poisson(rates[s][i][j])
+        for rate, count in zip(rates, drawn):  # steps 1, 2 and 4, one-sided
+            count[i][0] = rng.poisson(rate[i][0])
+            count[0][i] = rng.poisson(rate[0][i])
+    drawn = np.array(drawn, dtype=np.int64)  # shared, dense, solo, top-up
+    total, large = drawn.sum(axis=0), drawn[0] + drawn[3]
+    occupied = int(total.sum())
+    if occupied > params.n:
+        raise ConfigError(f"more than n={params.n}")
+    ab = np.zeros((2, params.n), dtype=np.int64)
+    ab[:, :occupied] = np.repeat(np.indices(total.shape).reshape(2, -1),
+                                 total.ravel(), axis=1)
+    a, b = ab[:, rng.permutation(params.n)]
+    return a, b, total, large, occupied
+
+
 class TestRateTable:
     @settings(max_examples=60, deadline=None)
     @example(n=10, t=795, quarter_m=1, beta_frac=0.25, l_big=1, delta_frac=0.0)
@@ -198,8 +227,51 @@ class TestRateTable:
         with pytest.raises(ValueError):
             params.topup_rates[1, 1] = -1.0
 
+    @pytest.mark.parametrize("n,t,m,beta", [
+        (10, 100, 4, 1.0), (2000, 62, 32, 8.0), (10 ** 5, 4309, 32, 8.0)])
+    def test_draw_order_cells(self, n, t, m, beta):
+        params = GHDReductionParams(n=n, t=t, m=m, beta=beta, l_big=t)
+        k, order = params.k_cap, params.draw_order
+        assert not order.flags.writeable
+        assert order.size == np.unique(order).size == 3 * k * k + 8 * k
+        table, i, j = np.unravel_index(order, (4, k + 1, k + 1))
+        assert not np.any((i == 0) & (j == 0))
+        assert not np.any((table == 2) & (i > 0) & (j > 0))  # solo pairs
+
 
 class TestGHDReduce:
+    @settings(max_examples=150, deadline=None)
+    @example(n=2000, t=62, quarter_m=8, beta_frac=1.0, l_big=62, case="SAME",
+             seed=0)
+    @example(n=2000, t=62, quarter_m=8, beta_frac=1.0, l_big=62, case="FAR",
+             seed=1)
+    @given(n=st.integers(10, 10 ** 5), t=st.integers(1, 10 ** 4),
+           quarter_m=st.integers(1, 64), beta_frac=st.floats(0.01, 1.0),
+           l_big=st.integers(1, 10 ** 4), case=st.sampled_from(["SAME", "FAR"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_array_draw_matches_scalar_loop(self, n, t, quarter_m, beta_frac,
+                                            l_big, case, seed):
+        m, beta = 4 * quarter_m, beta_frac * quarter_m
+        try:
+            params = GHDReductionParams(n=n, t=t, m=m, beta=beta, l_big=l_big)
+            inp = ghd_generate_inputs(m, case, rng(seed), beta=beta)
+        except (ConfigError, ValueError):  # refused params, or no far gap
+            return
+        r_array, r_scalar = rng(seed), rng(seed)
+        try:
+            a, b, total, large, occupied = scalar_reduce(inp, params, r_scalar)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="more than n="):
+                ghd_reduce_detailed(inp, params, r_array)
+        else:
+            a_vec, b_vec, diag = ghd_reduce_detailed(inp, params, r_array)
+            assert np.array_equal(a_vec.counts, a)
+            assert np.array_equal(b_vec.counts, b)
+            assert np.array_equal(diag.total_counts, total)
+            assert np.array_equal(diag.large_counts, large)
+            assert diag.occupied_letters == occupied
+        assert r_array.random() == r_scalar.random()
+
     def test_letter_budget_and_totals(self):
         params = GHDReductionParams(**FEASIBLE)
         r = rng(3)
