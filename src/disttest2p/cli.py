@@ -29,6 +29,7 @@ from .closeness import (
     ct2p_secure_reference,
     distinguish,
     far_instance,
+    sample_floor,
     threshold_tau,
 )
 from .harness import ConfigError, Decision, Transcript, Verdict, mix64
@@ -272,17 +273,18 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
     Feasibility means both instance-family success rates reach 0.75 at the
     precondition-minimal sample count for the candidate constants; a family
     whose rows were all skipped has no rate and makes the candidate infeasible.
+    A bad (n, eps, k) is refused first, at the default constants and a huge t.
     """
-    baseline = 8.0 * max(n ** (2 / 3) * eps ** (-4 / 3),
-                         math.sqrt(n) * eps ** (-2))
+    if protocol not in _GRIDS:
+        raise ConfigError(f"no calibration defined for {protocol!r}")
+    probe = dict(n=n, m=n, t=2 ** 62, eps=eps, k=k)
+    make_params(protocol, probe, {})
+    baseline = CTParams.big_c * sample_floor(n, eps)
     if baseline > n ** 2:
         raise ConfigError(
             f"alphabet n={n} too small to calibrate: the precondition sample "
             f"bound {baseline:.0f} exceeds the domain scale n^2={n ** 2}")
-    if protocol not in _GRIDS:
-        raise ConfigError(f"no calibration defined for {protocol!r}")
     best = None
-    probe = dict(n=n, m=n, t=10 ** 9, eps=eps, k=k)
     for consts in _GRIDS[protocol]:
         try:
             t = math.ceil(make_params(protocol, probe, consts).min_samples())

@@ -42,11 +42,12 @@ from .harness import (
     Recv,
     Send,
     SharedRandomness,
-    Transcript,
     Verdict,
+    majority,
     require_positive,
     resolve_votes,
     run_protocol,
+    secure_transcript,
     trusted_evaluate,
 )
 from .sketch import (
@@ -66,6 +67,11 @@ def threshold_tau(n: int, t: int, eps: float) -> float:
     if t < 0:
         raise ValueError("sample count must be nonnegative")
     return eps * eps * t * t / (2.0 * n) + 2.0 * t
+
+
+def sample_floor(n: int, eps: float) -> float:
+    """The one-party closeness rate ``max(n^(2/3) eps^(-4/3), sqrt(n) eps^(-2))``."""
+    return max(n ** (2 / 3) * eps ** (-4 / 3), math.sqrt(n) * eps ** (-2))
 
 
 def distinguish(delta_est: float, tau: float) -> Decision:
@@ -109,10 +115,12 @@ class CTParams:
                 f"{self.min_samples():.1f}")
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha out of range (0, 1)")
+        if self.split_rate > self.t:  # Bob draws the multiset from his samples
+            raise ConfigError(f"c_split gives a split multiset rate "
+                              f"{self.split_rate:.3g} above t={self.t}")
 
     def min_samples(self) -> float:
-        return self.big_c * max(self.n ** (2 / 3) * self.eps ** (-4 / 3),
-                                math.sqrt(self.n) * self.eps ** (-2))
+        return self.big_c * sample_floor(self.n, self.eps)
 
     @property
     def alpha(self) -> float:
@@ -122,11 +130,6 @@ class CTParams:
     def split_rate(self) -> float:
         """Poisson rate for |S|: ``c_split * n^2 / (t^2 eps^4)``."""
         return self.c_split * self.n ** 2 / (self.t ** 2 * self.eps ** 4)
-
-    @property
-    def u_bound(self) -> float:
-        """The ell_2 norm scale ``t eps^2 / n`` the split is meant to enforce."""
-        return self.t * self.eps ** 2 / self.n
 
 
 def far_instance(n: int, eps: float) -> Distribution:
@@ -145,9 +148,8 @@ def far_instance(n: int, eps: float) -> Distribution:
     return Distribution(probs)
 
 
-def norm_estimates_agree(est_sq_a: float, est_sq_b: float, t: int,
-                         factor: float = 4.0) -> bool:
-    """Factor-``factor`` agreement of two norm estimates given as squares.
+def norm_estimates_agree(est_sq_a: float, est_sq_b: float, t: int) -> bool:
+    """Factor-4 agreement of two norm estimates given as squares.
 
     Estimates are floored at the collision estimator's resolution 1/C(t,2)
     so that zero-collision runs compare as 'smallest representable' rather
@@ -156,7 +158,7 @@ def norm_estimates_agree(est_sq_a: float, est_sq_b: float, t: int,
     floor = 1.0 / (t * (t - 1) / 2.0)
     a = max(est_sq_a, floor)
     b = max(est_sq_b, floor)
-    return max(a, b) / min(a, b) <= factor * factor
+    return max(a, b) / min(a, b) <= 16.0
 
 
 def _encode_multiset(s: Multiset) -> bytes:
@@ -216,11 +218,8 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         size = int(rng.poisson(params.split_rate))
         # Bootstrap the multiset from Bob's own sample pool; at valid
         # parameters the rate is far below t so the reuse is negligible.
-        if size > 0:
-            picks = rng.integers(0, bob_samples.t, size=size)
-            s = Multiset.from_letters(bob_samples.letters[picks], params.n)
-        else:
-            s = Multiset(np.zeros(params.n, dtype=np.int64))
+        picks = rng.integers(0, bob_samples.t, size=size)
+        s = Multiset.from_letters(bob_samples.letters[picks], params.n)
         yield Send(_encode_multiset(s))
         sm = split_map(s, params.n)
         split = split_samples(bob_samples, sm, shared.stream("bob-split"))
@@ -318,20 +317,27 @@ class SecureCTParams:
     votes: int = 0  # 0 means "derive from k" (k rounded up to odd)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ConfigError("alphabet size must be at least 2")
         if self.k < 1:
             raise ConfigError("security parameter must be at least 1")
         if not 0 < self.eps <= 2:
             raise ConfigError("eps must be in (0, 2]")
         require_positive(self, "big_c", "c", "c_a", "c_l")
         resolve_votes(self)
-        minimum = self.big_c * self.k * max(
-            self.n ** (2 / 3) * self.eps ** (-4 / 3),
-            math.sqrt(self.n) * self.eps ** (-2))
+        minimum = self.big_c * self.k * sample_floor(self.n, self.eps)
         if self.t < minimum:
             raise ConfigError(
                 f"t={self.t} below precondition C*k*max(...) = {minimum:.1f}")
         if self.t_prime < 4:
             raise ConfigError("too few samples per sample set")
+        try:  # extreme constants overflow or underflow these
+            ok = self.alpha > 0 and max(self.cap_level, self.bernoulli_trials) < 2**63
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ConfigError("c, c_a and c_l must give a positive alpha and a "
+                              "cap level and Bernoulli trial count below 2^63")
 
     @property
     def t_prime(self) -> int:
@@ -385,8 +391,8 @@ class SetVote:
 
 
 def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
-                           params: SecureCTParams, shared: SharedRandomness,
-                           shared_split_randomness: bool = False) -> list[SetVote]:
+                           params: SecureCTParams, shared: SharedRandomness
+                           ) -> list[SetVote]:
     """Per-sample-set votes of the reference function f."""
     n, tp, level = params.n, params.t_prime, params.cap_level
     half = tp // 2
@@ -402,10 +408,10 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
         b_capped = cap(b, level)
 
         max_buckets = int((1 + s_a.counts + s_b.counts).max())
-        a_label = "split" if shared_split_randomness else "alice-split"
-        b_label = "split" if shared_split_randomness else "bob-split"
-        a_matrix = split_occurrence_matrix(a, max_buckets, shared.stream(a_label, j))
-        b_matrix = split_occurrence_matrix(b, max_buckets, shared.stream(b_label, j))
+        a_matrix = split_occurrence_matrix(a, max_buckets,
+                                           shared.stream("alice-split", j))
+        b_matrix = split_occurrence_matrix(b, max_buckets,
+                                           shared.stream("bob-split", j))
         delta1 = capped_split_adjustment(a, b, s_a, s_b, level,
                                          a_matrix=a_matrix, b_matrix=b_matrix)
 
@@ -436,8 +442,7 @@ def secure_reference_f(alice_letters, bob_letters, params: SecureCTParams,
     votes = secure_reference_votes(np.asarray(alice_letters, dtype=np.int64),
                                    np.asarray(bob_letters, dtype=np.int64),
                                    params, shared)
-    far = sum(1 for v in votes if v.vote is Decision.FAR)
-    return Decision.FAR if far > len(votes) // 2 else Decision.SAME
+    return majority([v.vote for v in votes], Decision.SAME)
 
 
 def ct2p_secure_reference(alice_samples: IndexedSampleSet,
@@ -458,7 +463,4 @@ def ct2p_secure_reference(alice_samples: IndexedSampleSet,
     decision, secure_bits = trusted_evaluate(
         lambda a, b: secure_reference_f(a, b, params, seed),
         alice_samples.letters, bob_samples.letters, spec)
-    transcript = Transcript()
-    transcript.record("alice", 16)  # shared-randomness seed exchange
-    transcript.record_secure(secure_bits)
-    return Verdict(decision, transcript)
+    return Verdict(decision, secure_transcript(secure_bits))

@@ -70,9 +70,6 @@ class Multiset:
     def size(self) -> int:
         return int(self.counts.sum())
 
-    def multiplicity(self, letter: int) -> int:
-        return int(self.counts[letter])
-
     def sorted_items(self) -> list[tuple[int, int]]:
         """Deterministic ``(letter, multiplicity)`` pairs, ascending letters."""
         nz = np.nonzero(self.counts)[0]
@@ -162,12 +159,6 @@ class IndexedSampleSet:
 
 def uniform_distribution(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
-
-
-def point_mass(n: int, letter: int) -> Distribution:
-    p = np.zeros(n)
-    p[letter] = 1.0
-    return Distribution(p)
 
 
 _GUIDE_STEPS = 4  # forward steps before a draw falls back to binary search
@@ -317,45 +308,24 @@ def l2_norm_sq(p: Distribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Canonical text serialization: newline-delimited "index value" pairs.
-
-def distribution_to_text(p: Distribution) -> str:
-    return "".join(f"{i} {float(p.probs[i])!r}\n" for i in range(p.n))
-
-
-def distribution_from_text(text: str) -> Distribution:
-    pairs = _parse_pairs(text, float)
-    probs = np.zeros(len(pairs))
-    for i, v in pairs:
-        probs[i] = v
-    return Distribution(probs)
-
+# Canonical text serialization of occurrence vectors: newline-delimited
+# "index count" pairs.
 
 def occurrence_to_text(x: OccurrenceVector) -> str:
     return "".join(f"{i} {int(x.counts[i])}\n" for i in range(x.n))
 
 
 def occurrence_from_text(text: str) -> OccurrenceVector:
-    pairs = _parse_pairs(text, int)
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    for i, v in pairs:
-        counts[i] = v
-    return OccurrenceVector(counts)
-
-
-def _parse_pairs(text: str, parse):
     pairs = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'index value'")
-        pairs.append((int(parts[0]), parse(parts[1])))
+        if len(parts) == 2:
+            pairs.append((int(parts[0]), int(parts[1])))
+        elif parts:
+            raise ValueError(f"line {lineno}: expected 'index count'")
     if not pairs:
         raise ValueError("empty serialization")
-    indices = sorted(i for i, _ in pairs)
-    if indices != list(range(len(pairs))):
+    pairs.sort()
+    if [i for i, _ in pairs] != list(range(len(pairs))):
         raise ValueError("indices must be exactly 0..n-1")
-    return pairs
+    return OccurrenceVector([count for _, count in pairs])

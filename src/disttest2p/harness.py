@@ -90,6 +90,12 @@ class Verdict:
     lambda_mean: float | None = None  # populated by the independence testers
 
 
+def majority(votes, null: Decision) -> Decision:
+    """FAR on a strict majority of FAR votes, else ``null``."""
+    far = sum(1 for v in votes if v is Decision.FAR)
+    return Decision.FAR if far > len(votes) // 2 else null
+
+
 @dataclass(frozen=True)
 class Send:
     payload: bytes
@@ -99,14 +105,14 @@ class Recv:
     pass
 
 
-def run_protocol(alice_program, bob_program, transcript: Transcript | None = None):
+def run_protocol(alice_program, bob_program):
     """Drive two party generators over a synchronous metered channel.
 
     Returns ``(alice_output, bob_output, transcript)``.  A party blocks on
     :class:`Recv` until the peer has sent; if both block with nothing in
     flight the protocol has deadlocked.
     """
-    transcript = transcript if transcript is not None else Transcript()
+    transcript = Transcript()
     parties = {"alice": alice_program, "bob": bob_program}
     inbox: dict[str, list] = {"alice": [], "bob": []}
     outputs: dict[str, object] = {}
@@ -197,14 +203,13 @@ class SharedRandomness:
 # ---------------------------------------------------------------------------
 # Trusted evaluation (stand-in for secure circuit evaluation)
 
-DEFAULT_OT_WORD_COST = 64
+C_OT = 64  # modeled bits per oblivious-transfer word
 
 
-def polylog_charge(word_bits: int, entries: int,
-                   c_ot: int = DEFAULT_OT_WORD_COST) -> int:
-    """Modeled bits for one oblivious lookup gate: ``r * log2(s)^2 * c_ot``."""
+def polylog_charge(word_bits: int, entries: int) -> int:
+    """Modeled bits for one oblivious lookup gate: ``r * log2(s)^2 * C_OT``."""
     logs = math.log2(max(entries, 2))
-    return int(word_bits * logs * logs * c_ot)
+    return int(word_bits * logs * logs * C_OT)
 
 
 @dataclass(frozen=True)
@@ -225,3 +230,11 @@ def trusted_evaluate(func, a, b, spec: CircuitSpec):
     clear, and the bits a secure evaluation of the declared size would cost.
     """
     return func(a, b), spec.modeled_bits
+
+
+def secure_transcript(secure_bits: int) -> Transcript:
+    """Modeled bits, plus the 16-byte shared seed sent in the clear."""
+    transcript = Transcript()
+    transcript.record("alice", 16)
+    transcript.record_secure(secure_bits)
+    return transcript

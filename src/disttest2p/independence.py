@@ -40,11 +40,12 @@ from .harness import (
     Recv,
     Send,
     SharedRandomness,
-    Transcript,
     Verdict,
+    majority,
     require_positive,
     resolve_votes,
     run_protocol,
+    secure_transcript,
     trusted_evaluate,
 )
 from .sketch import collision_norm_estimate
@@ -313,8 +314,9 @@ def _alice_pool(rep: int, split_block, block, params: ITParams,
     cap = math.ceil(100.0 * params.t_prime * ell / n)
     if live.size > cap:
         live = np.sort(rng.choice(live, size=cap, replace=False))
-    pool = (np.concatenate([isv[j] for j in live]) if live.size
-            else np.empty(0, np.int64))
+    keep = np.zeros(sm_a.total_letters, bool)
+    keep[live] = True
+    pool = isv.order[np.repeat(keep, np.diff(isv.boundaries))]
     return sm_a, live, pool, a.letters[pool]
 
 
@@ -376,11 +378,6 @@ def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
     return Repetition(sm_a, live, pool, a_letters, subsets, vote)
 
 
-def _majority(votes: list[Decision]) -> Decision:
-    far = sum(1 for v in votes if v is Decision.FAR)
-    return Decision.FAR if far > len(votes) // 2 else Decision.PRODUCT
-
-
 def it2p_votes(alice: IndexedSampleSet, bob: IndexedSampleSet,
                params: ITParams, shared: SharedRandomness) -> list[Repetition]:
     tp, reps = params.t_prime, params.votes
@@ -413,10 +410,8 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
     )
     reps, secure_bits = trusted_evaluate(
         lambda a, b: it2p_votes(a, b, params, shared), alice, bob, spec)
-    transcript = Transcript()
-    transcript.record("alice", 16)  # shared-randomness seed exchange
-    transcript.record_secure(secure_bits)
-    return Verdict(_majority([r.vote for r in reps]), transcript,
+    return Verdict(majority([r.vote for r in reps], Decision.PRODUCT),
+                   secure_transcript(secure_bits),
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 
@@ -486,7 +481,8 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
         votes = [_bob_vote(i, *b_blocks[3 * i:3 * i + 3], pool, a_letters, lam,
                            params, shared)[1]
                  for i, (lam, pool, a_letters) in enumerate(received)]
-        return _majority(votes), float(np.mean([lam for lam, _, _ in received]))
+        return (majority(votes, Decision.PRODUCT),
+                float(np.mean([lam for lam, _, _ in received])))
 
     _, (decision, lam_mean), transcript = run_protocol(alice_program(),
                                                        bob_program())

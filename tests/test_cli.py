@@ -3,6 +3,7 @@
 import pathlib
 import shlex
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -209,6 +210,7 @@ class TestReadme:
 
 HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]
 GHD_CONSTANTS = ["--set", "m=32", "--set", "beta=8", "--set", "l_big=62"]
+SECURE = ["--n", "200", "--t", "1095", "--secure", "--k", "4"]
 
 
 class TestBadInput:
@@ -291,6 +293,20 @@ class TestBadInput:
                                     "--set", "c_eps=-1"])
         assert "c_eps" in err
 
+    @pytest.mark.parametrize("args, constant", [
+        (["--n", "200", "--t", "274"], "c_split=1e19"),  # more picks than t
+        (SECURE, "c=1e-300"),    # cap level beyond int64
+        (SECURE, "c_a=1e-300"),  # alpha^2 underflows to 0
+        (SECURE, "c_a=1e300"),   # alpha^2 overflows
+    ])
+    def test_constant_out_of_range(self, capsys, args, constant):
+        self.refused(capsys, ["closeness", *args, "--set", constant])
+        protocol = "closeness-secure" if "--secure" in args else "closeness"
+        grid = [arg for arg in args if arg != "--secure"]
+        assert main(["run", "--protocol", protocol, *grid,
+                     "--set", constant]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(",skipped," in row for row in rows)
 
     def test_independence_without_m(self, capsys):
         for protocol in ("independence", "independence-oneway"):
@@ -349,6 +365,22 @@ class TestCalibrate:
         code = main(["calibrate", "--protocol", "closeness", "--n", "2",
                      "--trials", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("protocol, flag, value", [
+        ("closeness", "--eps", "0"), ("closeness", "--n", "-5"),
+        ("closeness", "--n", "0"), ("closeness", "--eps", "nan"),
+        ("closeness", "--eps", "3"), ("independence", "--k", "0"),
+    ])
+    def test_bad_argument_refused(self, capsys, protocol, flag, value):
+        argv = ["calibrate", "--protocol", protocol, "--n", "20", "--trials",
+                "1", flag, value]
+        TestBadInput.refused(capsys, argv)
+
+    def test_refused_grid_point_is_skipped(self, monkeypatch):
+        import disttest2p.cli as cli_module
+        monkeypatch.setitem(cli_module._GRIDS, "closeness",
+                            [{"c_split": 1e19}])
+        assert calibrate("closeness", 100, 1.0, seed=1, trials=1) is None
 
     def test_closeness_calibration_feasible(self, capsys):
         code = main(["calibrate", "--protocol", "closeness", "--n", "100",

@@ -300,11 +300,14 @@ class TestSecureReference:
         params = self.params()
         p = uniform_distribution(200)
         letters = sample(p, params.t, rng(9)).letters
-        votes = secure_reference_votes(letters, letters, params,
-                                       SharedRandomness(3),
-                                       shared_split_randomness=True)
-        for vote in votes:
-            assert vote.delta1 == 0.0
+        # recast by one matrix, identical occurrences adjust by exactly 0
+        x = OccurrenceVector(np.bincount(letters, minlength=200))
+        s = Multiset.from_letters(letters[:params.splitset_size], 200)
+        m = split_occurrence_matrix(x, int((1 + 2 * s.counts).max()), rng(3))
+        assert capped_split_adjustment(x, x, s, s, params.cap_level, m, m) == 0.0
+        # each party recasts on its own stream, so only delta2 vanishes
+        for vote in secure_reference_votes(letters, letters, params,
+                                           SharedRandomness(3)):
             assert vote.delta2 == 0.0
             assert vote.vote is Decision.SAME
 

@@ -12,14 +12,17 @@ import disttest2p
 from disttest2p.harness import (
     FRAME_BYTES,
     CircuitSpec,
+    Decision,
     ProtocolError,
     Recv,
     Send,
     SharedRandomness,
     Transcript,
+    majority,
     mix64,
     polylog_charge,
     run_protocol,
+    secure_transcript,
     trusted_evaluate,
 )
 
@@ -118,8 +121,7 @@ class TestTranscript:
 
 
 # derive_seed(label) and derive_seed(label, 3) under root seed 424242 for
-# every stream label the package uses ("split" is the shared label of
-# closeness.secure_reference_votes(shared_split_randomness=True)).
+# every stream label the package uses.
 STREAM_SEEDS = {
     "alice-recast": (0x00495C0B51CCE809, 0x37F8D7CA3F87D2D5),
     "alice-split": (0xBA5A5ACF592D78CE, 0xA71C9DA19D403B84),
@@ -132,7 +134,6 @@ STREAM_SEEDS = {
     "oneway-bob": (0x217DD7289A74D9B7, 0x98AD70EBC2781C9D),
     "oneway-universe": (0xEB82AE0A91D95274, 0xEABC31214C3BFC77),
     "rotation": (0x7F378984152FB674, 0xAEC0326A588943C1),
-    "split": (0x40A6CD351B0D85BF, 0xD7605C30165339F5),
 }
 
 
@@ -150,7 +151,7 @@ def _literal_stream_labels() -> set:
 
 class TestStreamLayout:
     def test_every_label_is_pinned(self):
-        assert _literal_stream_labels() == set(STREAM_SEEDS) - {"split"}
+        assert _literal_stream_labels() == set(STREAM_SEEDS)
 
     @pytest.mark.parametrize("label", sorted(STREAM_SEEDS))
     def test_golden_seeds(self, label):
@@ -210,16 +211,28 @@ class TestTrustedEvaluate:
         assert bits == spec.modeled_bits == 3 * polylog_charge(64, 2)
 
     def test_single_lookup_example(self):
-        # one 64-bit word among 2^20 entries: 64 * 400 * c_ot modeled bits
-        assert polylog_charge(64, 2 ** 20, c_ot=64) == 64 * 400 * 64
+        # one 64-bit word among 2^20 entries: 64 * 400 * C_OT modeled bits
+        assert polylog_charge(64, 2 ** 20) == 64 * 400 * 64
 
     def test_majority_semantics_transparent(self):
         bits = [1, 0, 1, 1, 0]
 
-        def majority(ra, rb):
+        def bit_majority(ra, rb):
             vals = [ra[i] for i in range(len(bits))]
             return int(sum(vals) * 2 > len(vals))
 
         spec = CircuitSpec(gate_count=len(bits), rom_entries=len(bits))
-        out, _ = trusted_evaluate(majority, bits, [], spec)
+        out, _ = trusted_evaluate(bit_majority, bits, [], spec)
         assert out == int(sum(bits) * 2 > len(bits))
+
+    def test_secure_transcript(self):
+        tr = secure_transcript(999)
+        assert tr.messages == [("alice", FRAME_BYTES + 16)]
+        assert (tr.total_bits, tr.modeled_secure_bits) == (160, 999)
+
+
+def test_majority_needs_a_strict_majority():
+    far, same, product = Decision.FAR, Decision.SAME, Decision.PRODUCT
+    assert majority([far, same, far], same) is far
+    assert majority([far, product], product) is product  # a tie
+    assert majority([same, same, far], same) is same
