@@ -43,9 +43,8 @@ from .harness import (
     Send,
     SharedRandomness,
     Verdict,
+    check_params,
     majority,
-    require_positive,
-    resolve_votes,
     run_protocol,
     secure_transcript,
     trusted_evaluate,
@@ -55,6 +54,7 @@ from .sketch import (
     estimate_distance_sq,
     haar_rotate,
     l2_sketch,
+    sketch_width,
 )
 
 ALPHA_MAX = 1.0 / 3.0  # larger relative error breaks the threshold gap
@@ -103,18 +103,11 @@ class CTParams:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("alphabet size must be at least 2")
-        if not 0 < self.eps <= 2:
-            raise ConfigError("eps must be in (0, 2]")
         if not 0 < self.sketch_delta < 1:
             raise ConfigError("sketch_delta must be in (0, 1)")
-        require_positive(self, "c_alpha", "c_split", "big_c")
-        if self.t < self.min_samples():
-            raise ConfigError(
-                f"t={self.t} below precondition "
-                f"t >= C*max(n^(2/3)*eps^(-4/3), sqrt(n)*eps^(-2)) = "
-                f"{self.min_samples():.1f}")
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha out of range (0, 1)")
+        check_params(self, "t >= C*max(n^(2/3)*eps^(-4/3), sqrt(n)*eps^(-2))",
+                     ("c_alpha", "c_split", "big_c"),
+                     ("alpha", "split_rate", "sketch_counters"))
         if self.split_rate > self.t:  # Bob draws the multiset from his samples
             raise ConfigError(f"c_split gives a split multiset rate "
                               f"{self.split_rate:.3g} above t={self.t}")
@@ -130,6 +123,11 @@ class CTParams:
     def split_rate(self) -> float:
         """Poisson rate for |S|: ``c_split * n^2 / (t^2 eps^4)``."""
         return self.c_split * self.n ** 2 / (self.t ** 2 * self.eps ** 4)
+
+    @property
+    def sketch_counters(self) -> int:
+        """Counters in each party's L2 sketch."""
+        return math.prod(sketch_width(self.alpha, self.sketch_delta))
 
 
 def far_instance(n: int, eps: float) -> Distribution:
@@ -162,10 +160,11 @@ def norm_estimates_agree(est_sq_a: float, est_sq_b: float, t: int) -> bool:
 
 
 def _encode_multiset(s: Multiset) -> bytes:
-    items = s.sorted_items()
-    out = [struct.pack("<I", len(items))]
-    out += [struct.pack("<II", letter, mult) for letter, mult in items]
-    return b"".join(out)
+    """A ``<u4`` item count, then ``<u4`` (letter, multiplicity) pairs in
+    ascending letter order."""
+    letters = np.flatnonzero(s.counts)
+    items = np.column_stack((letters, s.counts[letters])).astype("<u4")
+    return struct.pack("<I", letters.size) + items.tobytes()
 
 
 def _decode_multiset(payload: bytes, n: int) -> Multiset:
@@ -175,17 +174,15 @@ def _decode_multiset(payload: bytes, n: int) -> Multiset:
             len(payload) != 4 + 8 * struct.unpack_from("<I", payload, 0)[0]:
         raise ProtocolError(f"split multiset payload of {len(payload)} bytes "
                             "is truncated or has trailing bytes")
-    count = (len(payload) - 4) // 8
+    # int64 before differencing: differences of u4 letters wrap
+    items = np.frombuffer(payload, "<u4", offset=4).astype(np.int64)
+    letters, mults = items[0::2], items[1::2]
+    if letters.size and not (letters[-1] < n and mults.all()
+                             and (np.diff(letters) > 0).all()):
+        raise ProtocolError(f"split multiset letters are not ascending and "
+                            f"below n={n}, or a multiplicity is 0")
     counts = np.zeros(n, dtype=np.int64)
-    previous = -1
-    for idx in range(count):
-        letter, mult = struct.unpack_from("<II", payload, 4 + 8 * idx)
-        if letter >= n:
-            raise ProtocolError(f"split multiset letter {letter} >= n={n}")
-        if letter <= previous or mult == 0:
-            raise ProtocolError(f"split multiset item ({letter}, {mult}) is "
-                                "out of order, repeated or empty")
-        counts[letter], previous = mult, letter
+    counts[letters] = mults
     return Multiset(counts)
 
 
@@ -314,30 +311,24 @@ class SecureCTParams:
     c: float = 64.0
     c_a: float = 0.25
     c_l: float = 2.0
-    votes: int = 0  # 0 means "derive from k" (k rounded up to odd)
 
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("alphabet size must be at least 2")
         if self.k < 1:
             raise ConfigError("security parameter must be at least 1")
-        if not 0 < self.eps <= 2:
-            raise ConfigError("eps must be in (0, 2]")
-        require_positive(self, "big_c", "c", "c_a", "c_l")
-        resolve_votes(self)
-        minimum = self.big_c * self.k * sample_floor(self.n, self.eps)
-        if self.t < minimum:
-            raise ConfigError(
-                f"t={self.t} below precondition C*k*max(...) = {minimum:.1f}")
+        check_params(self, "C*k*max(...)", ("big_c", "c", "c_a", "c_l"),
+                     ("alpha", "cap_level", "bernoulli_trials"))
         if self.t_prime < 4:
             raise ConfigError("too few samples per sample set")
-        try:  # extreme constants overflow or underflow these
-            ok = self.alpha > 0 and max(self.cap_level, self.bernoulli_trials) < 2**63
-        except (OverflowError, ZeroDivisionError):
-            ok = False
-        if not ok:
-            raise ConfigError("c, c_a and c_l must give a positive alpha and a "
-                              "cap level and Bernoulli trial count below 2^63")
+
+    def min_samples(self) -> float:
+        return self.big_c * self.k * sample_floor(self.n, self.eps)
+
+    @property
+    def votes(self) -> int:
+        """Sample sets voted over: k rounded up to odd."""
+        return self.k | 1
 
     @property
     def t_prime(self) -> int:

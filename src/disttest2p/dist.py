@@ -70,11 +70,6 @@ class Multiset:
     def size(self) -> int:
         return int(self.counts.sum())
 
-    def sorted_items(self) -> list[tuple[int, int]]:
-        """Deterministic ``(letter, multiplicity)`` pairs, ascending letters."""
-        nz = np.nonzero(self.counts)[0]
-        return [(int(i), int(self.counts[i])) for i in nz]
-
     def union(self, other: "Multiset") -> "Multiset":
         """Multiset sum (multiplicities add)."""
         if self.n != other.n:
@@ -276,7 +271,6 @@ class SplitOccurrenceMatrix:
     """
 
     splits: tuple  # splits[j-1] is a read-only (n, j) int64 array
-    source_counts: np.ndarray
     max_buckets: int
 
     def row(self, letter, buckets: int) -> np.ndarray:
@@ -294,7 +288,7 @@ def split_occurrence_matrix(x: OccurrenceVector, max_buckets: int,
     splits = [x.counts.reshape(-1, 1)]
     for j in range(2, max_buckets + 1):
         splits.append(_readonly(rng.multinomial(x.counts, np.full(j, 1.0 / j))))
-    return SplitOccurrenceMatrix(tuple(splits), x.counts, max_buckets)
+    return SplitOccurrenceMatrix(tuple(splits), max_buckets)
 
 
 def l1_distance(p: Distribution, q: Distribution) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import IndexedSampleSet, OccurrenceVector
-from .harness import ConfigError, require_positive
+from .harness import SIZE_LIMIT, ConfigError, require_positive
 
 
 def poisson_pmf(i: int, lam: float) -> float:
@@ -132,13 +132,13 @@ class GHDReductionParams:
     def __post_init__(self):
         if self.n < 10:
             raise ConfigError("need n >= 10 so the dense support is non-empty")
-        if self.t < 1:
-            raise ConfigError("need t >= 1")
+        if not 1 <= self.t < SIZE_LIMIT:
+            raise ConfigError("need 1 <= t < 2^63")
         require_positive(self, "big_c")
         for name in ("m", "l_big", "beta"):  # 0 means the default formula
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and nonnegative")
+            if not (math.isfinite(value) and 0 <= value < SIZE_LIMIT):
+                raise ConfigError(f"{name} must be in [0, 2^63)")
             if name != "beta" and not float(value).is_integer():
                 raise ConfigError(f"{name} must be an integer")
         object.__setattr__(self, "m", int(self.m))
@@ -152,8 +152,10 @@ class GHDReductionParams:
         if self.m < 4 or self.m % 4 != 0:
             raise ConfigError("m must be a positive multiple of 4")
         if self.l_big == 0:
-            object.__setattr__(self, "l_big",
-                               math.ceil(self.big_c * self.t * math.log(self.n)))
+            l_big = self.big_c * self.t * math.log(self.n)
+            if not l_big < SIZE_LIMIT:
+                raise ConfigError("big_c gives an l_big of 2^63 or more")
+            object.__setattr__(self, "l_big", math.ceil(l_big))
         if self.beta == 0.0:
             object.__setattr__(self, "beta", default_beta(self.m))
         if self.beta > self.m / 4:
@@ -182,6 +184,9 @@ class GHDReductionParams:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         self._validate_rates()
+        if not _far_gaps(self.m, self.beta):
+            raise ConfigError(f"no FAR case: no even distance gap in "
+                              f"[{self.beta}, {2 * self.beta}] fits m={self.m}")
 
     def large_pmf(self, i: int) -> float:
         return poisson_pmf(i, self.t / (2.0 * self.l_big))

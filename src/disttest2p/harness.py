@@ -31,6 +31,9 @@ class ProtocolError(RuntimeError):
     """Protocol execution failed (e.g. both parties waiting to receive)."""
 
 
+SIZE_LIMIT = 2 ** 63  # sample counts and derived sizes must fit an int64
+
+
 def require_positive(params, *names: str) -> None:
     """Refuse a params object unless each named constant is finite and > 0."""
     for name in names:
@@ -39,14 +42,31 @@ def require_positive(params, *names: str) -> None:
             raise ConfigError(f"{name} must be finite and positive")
 
 
-def resolve_votes(params) -> None:
-    """Refuse a ``votes`` that is not a count; 0 becomes ``k`` rounded up to odd."""
-    votes, k = params.votes, params.k
-    if not (math.isfinite(votes) and votes >= 0 and float(votes).is_integer()):
-        raise ConfigError("votes must be a nonnegative integer")
-    if votes == 0:
-        votes = k if k % 2 == 1 else k + 1
-    object.__setattr__(params, "votes", int(votes))
+def _or_inf(compute) -> float:
+    """``compute()``, or inf if it overflows or divides by zero, so that no
+    range check accepts it."""
+    try:
+        return compute()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def check_params(params, precondition: str, constants: tuple,
+                 sizes: tuple) -> None:
+    """The testers' one precondition rule: eps in (0, 2], each named constant
+    finite and positive, ``min_samples() <= t < 2^63`` (``precondition``
+    spells out the bound) and each named derived size in (0, 2^63).  A bound
+    or size whose computation overflows or divides by zero is refused."""
+    if not 0 < params.eps <= 2:
+        raise ConfigError("eps must be in (0, 2]")
+    require_positive(params, *constants)
+    floor = _or_inf(params.min_samples)
+    if not floor <= params.t:
+        raise ConfigError(f"t={params.t} below precondition {precondition} = "
+                          f"{floor:.1f}")
+    for name in ("t", *sizes):
+        if not 0 < _or_inf(lambda: getattr(params, name)) < SIZE_LIMIT:
+            raise ConfigError(f"{name} must be in (0, 2^63)")
 
 
 class Decision(str, Enum):

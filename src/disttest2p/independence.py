@@ -41,9 +41,8 @@ from .harness import (
     Send,
     SharedRandomness,
     Verdict,
+    check_params,
     majority,
-    require_positive,
-    resolve_votes,
     run_protocol,
     secure_transcript,
     trusted_evaluate,
@@ -79,26 +78,11 @@ def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
     return int(rng.hypergeometric(ngood=alpha, nbad=n - alpha, nsample=beta))
 
 
-@dataclass(frozen=True)
-class IndicesSetVector:
-    """Per-letter sets of sample indices; the inverse of an indexed sample set.
-
-    ``order`` lists the sample indices grouped by letter (ascending within a
-    letter); letter ``j``'s set is ``order[boundaries[j]:boundaries[j + 1]]``.
-    """
-
-    order: np.ndarray
-    boundaries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.boundaries.size - 1
-
-    def __getitem__(self, letter: int) -> np.ndarray:
-        return self.order[self.boundaries[letter]:self.boundaries[letter + 1]]
-
-
-def indices_set_vector(samples: IndexedSampleSet, n: int) -> IndicesSetVector:
+def indices_set_vector(samples: IndexedSampleSet, n: int) -> tuple:
+    """Per-letter sets of sample indices, the inverse of a sample set:
+    ``(order, boundaries)``, where ``order`` groups the indices by letter
+    (ascending within one) and letter ``j``'s set is
+    ``order[boundaries[j]:boundaries[j + 1]]``."""
     if samples.t and samples.letters.max() >= n:
         raise ValueError("sample letter out of range")
     # The narrowest key type that holds the letters: numpy radix-sorts keys
@@ -106,7 +90,7 @@ def indices_set_vector(samples: IndexedSampleSet, n: int) -> IndicesSetVector:
     keys = samples.letters.astype(np.min_scalar_type(n))
     order = np.argsort(keys, kind="stable")
     boundaries = np.searchsorted(samples.letters[order], np.arange(n + 1))
-    return IndicesSetVector(order, boundaries)
+    return order, boundaries
 
 
 @dataclass(frozen=True)
@@ -203,21 +187,16 @@ class ITParams:
     c2: float = 24.0
     c3: float = 2.0
     c_eps: float = 1.35
-    votes: int = 0  # 0 means "derive from k" (k rounded up to odd)
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
             raise ConfigError("need n >= m >= 1")
-        if not 0 < self.eps <= 2:
-            raise ConfigError("eps must be in (0, 2]")
         if self.k < 1:
             raise ConfigError("security parameter must be at least 1")
-        require_positive(self, "big_c", "c1", "c2", "c3", "c_eps")
-        resolve_votes(self)
-        if self.t < self.min_samples():
-            raise ConfigError(
-                f"t={self.t} below precondition C*k*(n^(2/3) m^(1/3) eps^(-4/3)"
-                f" + sqrt(nm)/eps^2) = {self.min_samples():.1f}")
+        check_params(self,
+                     "C*k*(n^(2/3) m^(1/3) eps^(-4/3) + sqrt(nm)/eps^2)",
+                     ("big_c", "c1", "c2", "c3", "c_eps"),
+                     ("t_prime", "ell_target", "subset_budget"))
         if self.t_prime < 4:
             raise ConfigError("too few samples per sample set")
 
@@ -225,6 +204,11 @@ class ITParams:
         return self.big_c * self.k * (
             self.n ** (2 / 3) * self.m ** (1 / 3) * self.eps ** (-4 / 3)
             + math.sqrt(self.n * self.m) / self.eps ** 2)
+
+    @property
+    def votes(self) -> int:
+        """Repetitions voted over: k rounded up to odd."""
+        return self.k | 1
 
     @property
     def t_prime(self) -> int:
@@ -305,18 +289,18 @@ def _alice_pool(rep: int, split_block, block, params: ITParams,
                                            n), n)
     a = split_samples(IndexedSampleSet(block, n), sm_a,
                       shared.stream("alice-recast", rep))
-    isv = indices_set_vector(a, sm_a.total_letters)
+    order, bounds = indices_set_vector(a, sm_a.total_letters)
     ell = min(params.ell_target, sm_a.total_letters)
     rng = shared.stream("oneway-universe", rep)
     universe = rng.choice(sm_a.total_letters, size=ell, replace=False)
-    hit = isv.boundaries[universe + 1] > isv.boundaries[universe]
+    hit = bounds[universe + 1] > bounds[universe]
     live = np.sort(universe[hit])
     cap = math.ceil(100.0 * params.t_prime * ell / n)
     if live.size > cap:
         live = np.sort(rng.choice(live, size=cap, replace=False))
     keep = np.zeros(sm_a.total_letters, bool)
     keep[live] = True
-    pool = isv.order[np.repeat(keep, np.diff(isv.boundaries))]
+    pool = order[np.repeat(keep, np.diff(bounds))]
     return sm_a, live, pool, a.letters[pool]
 
 

@@ -211,6 +211,7 @@ class TestReadme:
 HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]
 GHD_CONSTANTS = ["--set", "m=32", "--set", "beta=8", "--set", "l_big=62"]
 SECURE = ["--n", "200", "--t", "1095", "--secure", "--k", "4"]
+INDEPENDENCE = ["--n", "20", "--m", "20", "--t", "8000"]
 
 
 class TestBadInput:
@@ -229,8 +230,10 @@ class TestBadInput:
         assert "'c_alhpa'" in err and "c_alpha" in err
 
     def test_constant_of_another_protocol(self, capsys):
-        self.refused(capsys, ["closeness", "--n", "200", "--t", "274",
-                              "--set", "votes=3"])
+        # votes is k rounded up to odd, a constant of no protocol
+        for argv in (["closeness", "--n", "200", "--t", "274"],
+                     ["closeness", *SECURE], ["independence", *INDEPENDENCE]):
+            self.refused(capsys, argv + ["--set", "votes=3"])
 
     def test_derived_field_is_not_a_constant(self, capsys, tmp_path):
         out = str(tmp_path / "inst.txt")
@@ -305,6 +308,40 @@ class TestBadInput:
         grid = [arg for arg in args if arg != "--secure"]
         assert main(["run", "--protocol", protocol, *grid,
                      "--set", constant]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(",skipped," in row for row in rows)
+
+    @pytest.mark.parametrize("command, args", [
+        # eps^(-2) overflows in the sample floor
+        ("closeness", ["--n", "200", "--t", "274", "--eps", "1e-200"]),
+        ("closeness", [*SECURE, "--eps", "1e-200"]),
+        # eps^2 underflows to 0 in the sample floor
+        ("independence", [*INDEPENDENCE, "--eps", "1e-200"]),
+        # t of 2^63 or more
+        ("closeness", ["--n", "200", "--t", str(10 ** 37)]),
+        ("independence", ["--n", "20", "--m", "20", "--t", str(10 ** 28)]),
+        ("hardgen", ["--n", "2000", "--t", str(10 ** 20), "--set", "m=32",
+                     "--set", "beta=8"]),
+        # alpha^2 underflows to 0 in the sketch width
+        ("closeness", ["--n", "200", "--t", "274", "--set", "c_alpha=1e-300"]),
+        # eps^4 underflows to 0 in the split rate and the letter-set size
+        ("closeness", ["--n", "200", "--t", "274", "--eps", "1e-100",
+                       "--set", "big_c=1e-300"]),
+        ("independence", [*INDEPENDENCE, "--eps", "1e-100",
+                          "--set", "big_c=1e-300"]),
+        # a letter-set size of 2^63 or more
+        ("independence", [*INDEPENDENCE, "--set", "c2=1e300"]),
+        # the default m=4 has no even far gap
+        ("hardgen", ["--n", "2000", "--t", "100000"]),
+    ])
+    def test_cell_out_of_range(self, capsys, tmp_path, command, args):
+        argv = [command, *args]
+        if command == "hardgen":
+            argv += ["--case", "FAR", "--out", str(tmp_path / "inst.txt")]
+        self.refused(capsys, argv)
+        protocol = "closeness-secure" if "--secure" in args else command
+        grid = [arg for arg in args if arg != "--secure"]
+        assert main(["run", "--protocol", protocol, *grid]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows and all(",skipped," in row for row in rows)
 

@@ -94,7 +94,6 @@ class TestParams:
     @pytest.mark.parametrize("override", [
         {"big_c": 0.0}, {"big_c": math.nan}, {"c": -64.0}, {"c": math.inf},
         {"c_a": 0.0}, {"c_l": math.nan}, {"c_a": -1.0}, {"c_l": math.inf},
-        {"votes": 2.5}, {"votes": -1},
     ])
     def test_bad_secure_constants_refused(self, override):
         with pytest.raises(ConfigError):

@@ -55,13 +55,12 @@ class TestTypes:
     def test_multiset_from_letters(self):
         s = Multiset.from_letters([0, 0, 2], 3)
         assert s.size == 3
-        assert s.counts[0] == 2
-        assert s.sorted_items() == [(0, 2), (2, 1)]
+        assert list(s.counts) == [2, 0, 1]
 
     def test_multiset_union_adds_multiplicities(self):
         a = Multiset.from_letters([0, 1], 3)
         b = Multiset.from_letters([1, 1], 3)
-        assert a.union(b).sorted_items() == [(0, 1), (1, 3)]
+        assert list(a.union(b).counts) == [1, 3, 0]
 
     def test_occurrence_vector_totals(self):
         x = OccurrenceVector([2, 0, 1])

@@ -104,8 +104,9 @@ class TestReductionParams:
 
 
 def scalar_rate_check(n, t, m, beta, l_big):
-    """The step-rate check as a scalar loop, one pmf call per use: the
-    reference the rate table is held to.  Returns the refusal or None.
+    """The step-rate check as a scalar loop, one pmf call per use, then the
+    far-gap check: the reference the rate table is held to.  Returns the
+    refusal or None.
 
     The pair rate is multiplied as the reduction draws it, m_c s (D_i D_j).
     Checked as (m_c s D_i) D_j, it differs in the last bit when D_i D_j is
@@ -132,6 +133,9 @@ def scalar_rate_check(n, t, m, beta, l_big):
         one_sided = l_big * large(i) * large(0) - m / 4.0 * scale * dsum[i]
         if one_sided < 0:
             return f"negative one-sided rate at (i,j)=({i},0)"
+    if not any(gap % 2 == 0 and 2 <= gap <= m // 2
+               for gap in range(math.ceil(beta), math.floor(2 * beta) + 1)):
+        return "no FAR case"
     return None
 
 

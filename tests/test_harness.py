@@ -1,6 +1,8 @@
-"""Channel engine, transcripts, shared randomness and the trusted evaluator."""
+"""Channel engine, transcripts, shared randomness, the trusted evaluator and
+the testers' one precondition rule."""
 
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -9,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disttest2p
+from disttest2p.closeness import CTParams, SecureCTParams
+from disttest2p.hardness import GHDReductionParams
 from disttest2p.harness import (
     FRAME_BYTES,
+    SIZE_LIMIT,
     CircuitSpec,
+    ConfigError,
     Decision,
     ProtocolError,
     Recv,
@@ -25,6 +31,7 @@ from disttest2p.harness import (
     secure_transcript,
     trusted_evaluate,
 )
+from disttest2p.independence import ITParams
 
 
 class TestRunProtocol:
@@ -236,3 +243,44 @@ def test_majority_needs_a_strict_majority():
     assert majority([far, same, far], same) is far
     assert majority([far, product], product) is product  # a tie
     assert majority([same, same, far], same) is same
+
+
+# Per params class: a fixed cell, its constants, and the sizes it names.
+PARAMS_CLASSES = {
+    CTParams: (dict(n=200), ("c_split", "c_alpha", "big_c", "sketch_delta"),
+               ("alpha", "split_rate", "sketch_counters")),
+    SecureCTParams: (dict(n=200, k=4), ("big_c", "c", "c_a", "c_l"),
+                     ("alpha", "cap_level", "bernoulli_trials")),
+    ITParams: (dict(n=20, m=20, k=2), ("big_c", "c1", "c2", "c3", "c_eps"),
+               ("t_prime", "ell_target", "subset_budget")),
+    GHDReductionParams: (dict(n=2000, m=32, beta=8.0, l_big=62),
+                         ("big_c", "m", "l_big", "beta"), ("m", "l_big")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(list(PARAMS_CLASSES)), t=st.integers(1, 2 ** 70),
+       eps=st.floats(0.1, 2.0) | st.floats(1e-300, 2.0), data=st.data())
+def test_params_refused_or_every_size_in_range(cls, t, eps, data):
+    # params only: a row at a drawn t could need memory no machine has
+    cell, constants, sizes = PARAMS_CLASSES[cls]
+    kwargs = dict(cell, t=t) if cls is GHDReductionParams else \
+        dict(cell, t=t, eps=eps)
+    value = data.draw(st.sampled_from(
+        [None, 0.0, 1e-300, 1e300, math.nan, math.inf, -1.0]))
+    if value is not None:
+        kwargs[data.draw(st.sampled_from(constants))] = value
+    try:
+        params = cls(**kwargs)
+    except ConfigError:
+        return
+    for name in ("t", *sizes):
+        assert 0 < getattr(params, name) < SIZE_LIMIT, name
+
+
+@pytest.mark.parametrize("cls, cell", [
+    (SecureCTParams, dict(n=200, t=10 ** 6, eps=1.0)),
+    (ITParams, dict(n=20, m=20, t=10 ** 6, eps=1.0)),
+])
+def test_votes_is_k_rounded_up_to_odd(cls, cell):
+    assert [cls(**cell, k=k).votes for k in (1, 2, 3, 4)] == [1, 3, 3, 5]
