@@ -203,7 +203,7 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         sm = split_map(s, params.n)
         split = split_samples(alice_samples, sm, shared.stream("alice-split"))
         a_s = occurrence_vector(split, sm.total_letters)
-        norm_sq = collision_norm_estimate(split)
+        norm_sq = collision_norm_estimate(a_s)
         yield Send(struct.pack("<d", norm_sq))
         sk = l2_sketch(a_s, params.alpha, params.sketch_delta, sketch_seed)
         yield Send(sk.to_bytes())
@@ -221,7 +221,7 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         sm = split_map(s, params.n)
         split = split_samples(bob_samples, sm, shared.stream("bob-split"))
         b_s = occurrence_vector(split, sm.total_letters)
-        bob_norm_sq = collision_norm_estimate(split)
+        bob_norm_sq = collision_norm_estimate(b_s)
         alice_norm_payload = yield Recv()
         (alice_norm_sq,) = struct.unpack("<d", alice_norm_payload)
         sketch_payload = yield Recv()

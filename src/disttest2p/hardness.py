@@ -132,8 +132,9 @@ class GHDReductionParams:
     def __post_init__(self):
         if self.n < 10:
             raise ConfigError("need n >= 10 so the dense support is non-empty")
-        if not 1 <= self.t < SIZE_LIMIT:
-            raise ConfigError("need 1 <= t < 2^63")
+        for name in ("n", "t"):
+            if not 1 <= getattr(self, name) < SIZE_LIMIT:
+                raise ConfigError(f"need 1 <= {name} < 2^63")
         require_positive(self, "big_c")
         for name in ("m", "l_big", "beta"):  # 0 means the default formula
             value = getattr(self, name)

@@ -55,8 +55,9 @@ def check_params(params, precondition: str, constants: tuple,
                  sizes: tuple) -> None:
     """The testers' one precondition rule: eps in (0, 2], each named constant
     finite and positive, ``min_samples() <= t < 2^63`` (``precondition``
-    spells out the bound) and each named derived size in (0, 2^63).  A bound
-    or size whose computation overflows or divides by zero is refused."""
+    spells out the bound), ``n < 2^63`` (which bounds ``m <= n`` too) and
+    each named derived size in (0, 2^63).  A bound or size whose computation
+    overflows or divides by zero is refused."""
     if not 0 < params.eps <= 2:
         raise ConfigError("eps must be in (0, 2]")
     require_positive(params, *constants)
@@ -64,7 +65,7 @@ def check_params(params, precondition: str, constants: tuple,
     if not floor <= params.t:
         raise ConfigError(f"t={params.t} below precondition {precondition} = "
                           f"{floor:.1f}")
-    for name in ("t", *sizes):
+    for name in ("n", "t", *sizes):
         if not 0 < _or_inf(lambda: getattr(params, name)) < SIZE_LIMIT:
             raise ConfigError(f"{name} must be in (0, 2^63)")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,12 +211,12 @@ class ITParams:
         """Repetitions voted over: k rounded up to odd."""
         return self.k | 1
 
-    @property
+    @cached_property  # the derived sizes all read it; a failed call caches nothing
     def t_prime(self) -> int:
         cap = math.floor(self.c1 * self.n * math.sqrt(self.m) / self.eps)
         return min(self.t // (3 * self.votes), cap)
 
-    @property
+    @cached_property
     def ell_target(self) -> int:
         """Requested size of the sampled letter set (capped per repetition at
         the split alphabet size)."""

@@ -36,7 +36,7 @@ class L2Sketch:
     def to_bytes(self) -> bytes:
         """Length-prefixed float64 counter vector (one 64-bit word each)."""
         return struct.pack("<I", self.counters.size) + \
-            self.counters.astype("<f8").tobytes()
+            self.counters.astype("<f8", copy=False).tobytes()
 
 
 def sketch_width(alpha: float, delta: float) -> tuple[int, int]:
@@ -60,29 +60,35 @@ def l2_sketch(vector, alpha: float, delta: float, seed: int) -> L2Sketch:
     if v.size >= _PRIME:
         raise ValueError(f"vector length must be below {_PRIME}")
     groups, group_size = sketch_width(alpha, delta)
-    # Degree-3 polynomials by Horner's rule; rows [:groups] give buckets and
-    # rows [groups:] signs.  Both factors stay below 2**31: no int64 overflow.
     coeffs = np.random.default_rng(seed).integers(
         0, _PRIME, size=(4, 2 * groups, 1), dtype=np.int64)
     nz = np.flatnonzero(v)
-    h = coeffs[0]
-    for c in coeffs[1:]:
-        h = (h * nz + c) % _PRIME
-    buckets = h[:groups] % group_size + group_size * np.arange(groups)[:, None]
+    top = int(nz[-1]) if nz.size else 0
+    # Degree-3 polynomials by Horner's rule in exact int64 arithmetic; rows
+    # [:groups] give buckets and rows [groups:] signs.  ``hi`` bounds every
+    # entry of ``h``: coefficients and residues are below _PRIME < 2**31 and
+    # a step takes the bound to hi * top + _PRIME - 1, so ``h`` is reduced
+    # mod _PRIME only before a step that could pass 2**63.  That is one
+    # reduction in all (the last) for top <= 1625, two for top < 2**16 and
+    # three above; the residues are those of reducing at every step.
+    h = coeffs[0] * nz
+    h += coeffs[1]
+    hi = (_PRIME - 1) * (top + 1)
+    for c in coeffs[2:]:
+        if hi * top + _PRIME > 1 << 63:
+            h -= h // _PRIME * _PRIME
+            hi = _PRIME - 1
+        h *= nz
+        h += c
+        hi = hi * top + _PRIME - 1
+    h -= h // _PRIME * _PRIME
+    buckets = h[:groups]
+    buckets -= buckets // group_size * group_size
+    buckets += group_size * np.arange(groups)[:, None]
     signs = 1 - 2 * (h[groups:] & 1)
     counters = np.bincount(buckets.ravel(), weights=(signs * v[nz]).ravel(),
                            minlength=groups * group_size)
     return L2Sketch(counters, seed, alpha, delta, groups, group_size)
-
-
-def _estimate_from_counters(counters: np.ndarray, groups: int,
-                            group_size: int) -> float:
-    sq = counters.astype(np.float64) ** 2
-    return float(np.median(sq.reshape(groups, group_size).sum(axis=1)))
-
-
-def estimate_norm_sq(s: L2Sketch) -> float:
-    return _estimate_from_counters(s.counters, s.groups, s.group_size)
 
 
 def estimate_distance_sq(sa: L2Sketch, sb: L2Sketch) -> float:
@@ -91,21 +97,26 @@ def estimate_distance_sq(sa: L2Sketch, sb: L2Sketch) -> float:
         raise ValueError("sketches built with different seed or accuracy")
     if sa.counters.size != sb.counters.size:
         raise ValueError("sketch widths differ")
-    return _estimate_from_counters(sa.counters - sb.counters,
-                                   sa.groups, sa.group_size)
+    sq = sa.counters - sb.counters
+    sq *= sq
+    return float(np.median(sq.reshape(sa.groups, sa.group_size).sum(axis=1)))
 
 
 def collision_norm_estimate(samples) -> float:
     """Unbiased collision estimate of ``||p||_2^2`` from a sample set.
 
-    Returns ``sum_i C(X_i, 2) / C(t, 2)``; needs at least two samples.
+    Returns ``sum_i C(X_i, 2) / C(t, 2)``; needs at least two samples.  Takes
+    the samples' letters, or their :class:`OccurrenceVector` (zero counts add
+    no collisions).
     """
-    letters = np.asarray(getattr(samples, "letters", samples), dtype=np.int64)
-    t = letters.size
+    counts = getattr(samples, "counts", None)
+    if counts is None:
+        # Count only the letters present: pair codes range over n*m, far past t.
+        letters = np.asarray(getattr(samples, "letters", samples), dtype=np.int64)
+        counts = np.unique(letters, return_counts=True)[1]
+    t = int(counts.sum())
     if t < 2:
         raise ValueError("need at least two samples to count collisions")
-    # Count only the letters present: pair codes range over n*m, far past t.
-    counts = np.unique(letters, return_counts=True)[1]
     collisions = float((counts * (counts - 1) // 2).sum())
     return collisions / (t * (t - 1) / 2.0)
 

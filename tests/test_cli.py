@@ -333,6 +333,15 @@ class TestBadInput:
         ("independence", [*INDEPENDENCE, "--set", "c2=1e300"]),
         # the default m=4 has no even far gap
         ("hardgen", ["--n", "2000", "--t", "100000"]),
+        # n of 2^63 or more (numpy refuses such an alphabet with a traceback)
+        ("closeness", ["--n", str(10 ** 20), "--t", str(2 ** 62),
+                       "--set", "big_c=1e-300"]),
+        ("independence", ["--n", str(10 ** 20), "--m", "20", "--t", str(2 ** 62),
+                          "--set", "big_c=1e-300"]),
+        ("hardgen", ["--n", str(10 ** 20), "--t", "62", "--set", "m=32",
+                     "--set", "beta=8", "--set", "l_big=62"]),
+        # the sample-set cap c1*n*sqrt(m)/eps overflows to inf in t_prime
+        ("independence", [*INDEPENDENCE, "--set", "c1=1e308"]),
     ])
     def test_cell_out_of_range(self, capsys, tmp_path, command, args):
         argv = [command, *args]

@@ -1,12 +1,13 @@
 """Sketching, collision estimation, rounded rotations and wire payloads."""
 
+import dataclasses
 import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import disttest2p.closeness as closeness
@@ -21,6 +22,7 @@ from disttest2p.closeness import (
 from disttest2p.dist import (
     IndexedSampleSet,
     Multiset,
+    occurrence_vector,
     sample,
     uniform_distribution,
 )
@@ -31,7 +33,6 @@ from disttest2p.sketch import (
     apply_rotation_coord,
     collision_norm_estimate,
     estimate_distance_sq,
-    estimate_norm_sq,
     l2_sketch,
     sketch_width,
 )
@@ -50,6 +51,32 @@ def dense_l2_sketch(vector, alpha, delta, seed):
         0, 2, size=(groups * group_size, v.size), dtype=np.int8)
     counters = (2.0 * bits - 1.0) @ v / math.sqrt(group_size)
     return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+
+
+def stepwise_l2_sketch(vector, alpha, delta, seed):
+    """Reference for the hashed sketch: Horner's rule reduced mod 2^31 - 1 at
+    every step, so no intermediate value reaches 2^62."""
+    v = np.asarray(vector, dtype=np.float64)
+    groups, group_size = sketch_width(alpha, delta)
+    prime = (1 << 31) - 1
+    coeffs = np.random.default_rng(seed).integers(
+        0, prime, size=(4, 2 * groups, 1), dtype=np.int64)
+    nz = np.flatnonzero(v)
+    h = coeffs[0]
+    for c in coeffs[1:]:
+        h = (h * nz + c) % prime
+    buckets = h[:groups] % group_size + group_size * np.arange(groups)[:, None]
+    signs = 1 - 2 * (h[groups:] & 1)
+    counters = np.bincount(buckets.ravel(), weights=(signs * v[nz]).ravel(),
+                           minlength=groups * group_size)
+    return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+
+
+def estimate_norm_sq(s: L2Sketch) -> float:
+    """``||X||^2`` from one sketch: the median over groups of the sums of
+    squared counters (the distance estimate against a zero sketch)."""
+    sq = s.counters.astype(np.float64) ** 2
+    return float(np.median(sq.reshape(s.groups, s.group_size).sum(axis=1)))
 
 
 def integer_vector_pairs():
@@ -154,6 +181,39 @@ class TestL2Sketch:
                               l2_sketch(x - y, 0.4, 0.2, seed).counters)
         assert np.array_equal(sx.counters + sy.counters,
                               l2_sketch(x + y, 0.4, 0.2, seed).counters)
+
+    @given(st.one_of(st.integers(0, 1625), st.integers(1626, 2 ** 16 - 1),
+                     st.integers(2 ** 16, 10 ** 6)),
+           st.lists(st.tuples(st.floats(0, 1), st.integers(-10 ** 6, 10 ** 6)),
+                    max_size=40),
+           st.integers(1, 10 ** 6), st.integers(0, 2 ** 64 - 1))
+    @example(1625, [], 1, 0)
+    @example(1626, [], 1, 0)
+    @example(2 ** 16 - 1, [], 1, 0)
+    @example(2 ** 16, [], 1, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_deferred_reduction_matches_stepwise(self, top, entries, last, seed):
+        # The largest nonzero coordinate in each regime of the hash (one
+        # reduction mod 2^31 - 1 up to 1625, two below 2^16, three above);
+        # int64 overflow would wrap silently and change the counters.
+        v = np.zeros(top + 1)
+        for where, value in entries:
+            v[int(where * top)] = value
+        v[top] = last
+        assert np.array_equal(l2_sketch(v, 0.4, 0.2, seed).counters,
+                              stepwise_l2_sketch(v, 0.4, 0.2, seed).counters)
+
+    @given(integer_vector_pairs(), st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_distance_estimate_keeps_counters(self, pair, seed):
+        sa, sb = (l2_sketch(np.array(v), 0.4, 0.2, seed) for v in pair)
+        sa = _sketch_from_bytes(sa.to_bytes(), sa)  # read-only, as received
+        before = sa.counters.copy(), sb.counters.copy()
+        got = estimate_distance_sq(sa, sb)
+        assert np.array_equal(sa.counters, before[0])
+        assert np.array_equal(sb.counters, before[1])
+        assert got == estimate_norm_sq(
+            dataclasses.replace(sa, counters=sa.counters - sb.counters))
 
     @given(integer_vector_pairs(), st.floats(0.2, 0.9), st.floats(0.01, 0.9),
            st.integers(0, 2 ** 64 - 1))
@@ -311,8 +371,20 @@ class TestCollisionEstimate:
         assert collision_norm_estimate(s) == 0.0
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            collision_norm_estimate(IndexedSampleSet(np.array([0]), 2))
+        for letters in ([], [1]):
+            s = IndexedSampleSet(np.array(letters, dtype=np.int64), 2)
+            with pytest.raises(ValueError):
+                collision_norm_estimate(s)
+            with pytest.raises(ValueError):
+                collision_norm_estimate(occurrence_vector(s, 2))
+
+    @given(letters=st.lists(st.integers(0, 300), min_size=2, max_size=400),
+           extra=st.integers(0, 50))
+    def test_occurrence_vector_matches_letters(self, letters, extra):
+        # the split alphabet's count vector, zero counts included
+        s = IndexedSampleSet(np.array(letters), 301 + extra)
+        assert collision_norm_estimate(occurrence_vector(s, s.n)) == \
+            collision_norm_estimate(s)
 
     @given(letters=st.lists(st.integers(0, 60_000), min_size=2, max_size=400),
            spread=st.sampled_from([1, 7, 60_000]))
