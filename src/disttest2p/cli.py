@@ -32,7 +32,7 @@ from .closeness import (
     sample_floor,
     threshold_tau,
 )
-from .harness import ConfigError, Decision, Transcript, Verdict, mix64
+from .harness import ConfigError, Decision, Transcript, Verdict, check_eps, mix64
 from .hardness import (
     GHDReductionParams,
     bhh_generate,
@@ -127,6 +127,8 @@ def make_params(protocol: str, cell: dict, overrides: dict):
     """The protocol's params for one grid cell; ConfigError if refused."""
     _check_overrides(protocol, overrides)
     proto = PROTOCOLS[protocol]
+    if "eps" in cell and "eps" not in proto.keys:  # hardgen's verdict reads it
+        check_eps(cell["eps"])
     return proto.params(**{key: cell[key] for key in proto.keys}, **overrides)
 
 

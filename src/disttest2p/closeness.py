@@ -25,11 +25,9 @@ import numpy as np
 from .dist import (
     Distribution,
     IndexedSampleSet,
-    Multiset,
     OccurrenceVector,
     SplitOccurrenceMatrix,
     cap,
-    occurrence_vector,
     split_map,
     split_occurrence_matrix,
     split_samples,
@@ -43,6 +41,7 @@ from .harness import (
     Send,
     SharedRandomness,
     Verdict,
+    check_eps,
     check_params,
     majority,
     run_protocol,
@@ -54,6 +53,7 @@ from .sketch import (
     estimate_distance_sq,
     haar_rotate,
     l2_sketch,
+    sketch_from_bytes,
     sketch_width,
 )
 
@@ -133,8 +133,7 @@ class CTParams:
 def far_instance(n: int, eps: float) -> Distribution:
     """A distribution at ell_1 distance >= eps from uniform (exactly eps when
     the paired construction applies: mass ``(1 +- eps)/n`` on letter pairs)."""
-    if not 0 < eps <= 2:
-        raise ValueError("eps must be in (0, 2]")
+    check_eps(eps)
     if eps <= 1 and n % 2 == 0:
         probs = np.empty(n)
         probs[0::2] = (1.0 + eps) / n
@@ -159,7 +158,7 @@ def norm_estimates_agree(est_sq_a: float, est_sq_b: float, t: int) -> bool:
     return max(a, b) / min(a, b) <= 16.0
 
 
-def _encode_multiset(s: Multiset) -> bytes:
+def _encode_multiset(s: OccurrenceVector) -> bytes:
     """A ``<u4`` item count, then ``<u4`` (letter, multiplicity) pairs in
     ascending letter order."""
     letters = np.flatnonzero(s.counts)
@@ -167,7 +166,7 @@ def _encode_multiset(s: Multiset) -> bytes:
     return struct.pack("<I", letters.size) + items.tobytes()
 
 
-def _decode_multiset(payload: bytes, n: int) -> Multiset:
+def _decode_multiset(payload: bytes, n: int) -> OccurrenceVector:
     """The inverse of :func:`_encode_multiset`: ascending letters below ``n``,
     each with a positive multiplicity."""
     if len(payload) < 4 or \
@@ -183,7 +182,21 @@ def _decode_multiset(payload: bytes, n: int) -> Multiset:
                             f"below n={n}, or a multiplicity is 0")
     counts = np.zeros(n, dtype=np.int64)
     counts[letters] = mults
-    return Multiset(counts)
+    return OccurrenceVector(counts)
+
+
+def _decode_norm(payload: bytes) -> float:
+    """One ``<f8`` in [0, 1], where every squared norm of a distribution lies."""
+    norm_sq = struct.unpack("<d", payload)[0] if len(payload) == 8 else math.nan
+    if not 0.0 <= norm_sq <= 1.0:  # NaN fails too
+        raise ProtocolError(f"norm payload {payload!r} is not one <f8 in [0, 1]")
+    return norm_sq
+
+
+def _decode_verdict(payload: bytes) -> Decision:
+    if payload not in (b"\x00", b"\x01"):
+        raise ProtocolError(f"verdict payload {payload!r} is not 0x00 or 0x01")
+    return Decision.FAR if payload == b"\x01" else Decision.SAME
 
 
 def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet,
@@ -202,13 +215,12 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         s = _decode_multiset(payload, params.n)
         sm = split_map(s, params.n)
         split = split_samples(alice_samples, sm, shared.stream("alice-split"))
-        a_s = occurrence_vector(split, sm.total_letters)
+        a_s = OccurrenceVector.from_letters(split.letters, sm.total_letters)
         norm_sq = collision_norm_estimate(a_s)
         yield Send(struct.pack("<d", norm_sq))
         sk = l2_sketch(a_s, params.alpha, params.sketch_delta, sketch_seed)
         yield Send(sk.to_bytes())
-        verdict_byte = yield Recv()
-        return Decision.FAR if verdict_byte == b"\x01" else Decision.SAME
+        return _decode_verdict((yield Recv()))
 
     def bob_program():
         rng = shared.stream("bob-splitset")
@@ -216,20 +228,19 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         # Bootstrap the multiset from Bob's own sample pool; at valid
         # parameters the rate is far below t so the reuse is negligible.
         picks = rng.integers(0, bob_samples.t, size=size)
-        s = Multiset.from_letters(bob_samples.letters[picks], params.n)
+        s = OccurrenceVector.from_letters(bob_samples.letters[picks], params.n)
         yield Send(_encode_multiset(s))
         sm = split_map(s, params.n)
         split = split_samples(bob_samples, sm, shared.stream("bob-split"))
-        b_s = occurrence_vector(split, sm.total_letters)
+        b_s = OccurrenceVector.from_letters(split.letters, sm.total_letters)
         bob_norm_sq = collision_norm_estimate(b_s)
-        alice_norm_payload = yield Recv()
-        (alice_norm_sq,) = struct.unpack("<d", alice_norm_payload)
+        alice_norm_sq = _decode_norm((yield Recv()))
         sketch_payload = yield Recv()
         if not norm_estimates_agree(alice_norm_sq, bob_norm_sq, params.t):
             verdict = Decision.FAR
         else:
             bob_sk = l2_sketch(b_s, params.alpha, params.sketch_delta, sketch_seed)
-            alice_sk = _sketch_from_bytes(sketch_payload, bob_sk)
+            alice_sk = sketch_from_bytes(sketch_payload, bob_sk)
             delta = estimate_distance_sq(alice_sk, bob_sk)
             tau = threshold_tau(sm.total_letters, params.t, params.eps)
             verdict = distinguish(delta, tau)
@@ -240,16 +251,6 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
     if alice_out != bob_out:
         raise ProtocolError(f"parties disagree: alice {alice_out}, bob {bob_out}")
     return Verdict(bob_out, transcript)
-
-
-def _sketch_from_bytes(payload: bytes, template):
-    width = template.counters.size
-    if len(payload) != 4 + 8 * width or \
-            struct.unpack_from("<I", payload, 0)[0] != width:
-        raise ProtocolError(f"sketch payload does not hold {width} counters")
-    counters = np.frombuffer(payload, dtype="<f8", offset=4, count=width)
-    return type(template)(counters, template.seed, template.alpha,
-                          template.delta, template.groups, template.group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +271,18 @@ def split_occurrences_from_matrix(matrix: SplitOccurrenceMatrix,
 
 
 def capped_split_adjustment(a: OccurrenceVector, b: OccurrenceVector,
-                            s_a: Multiset, s_b: Multiset, level: int,
+                            s: OccurrenceVector, level: int,
                             a_matrix: SplitOccurrenceMatrix,
                             b_matrix: SplitOccurrenceMatrix) -> float:
     """Exact ``||A_S - B_S||^2 - ||A' - B'||^2`` via split-matrix lookups.
 
-    Only letters in ``M = {i : i in S or A_i > L or B_i > L}`` can contribute;
-    everywhere else the capped difference equals the unsplit one.  The split
-    matrices are the two parties' recasts, with at least
-    ``1 + max(s_a + s_b)`` buckets per letter.
+    Only letters in ``M = {i : i in S or A_i > L or B_i > L}`` can contribute,
+    where ``s`` holds S, both parties' split sets; everywhere else the capped
+    difference equals the unsplit one.  The split matrices are the two
+    parties' recasts, with at least ``1 + max(s)`` buckets per letter.
     """
     if level < 1:
         raise ValueError("cap threshold must be at least 1")
-    s = s_a.union(s_b)
     buckets = 1 + s.counts
     members = (s.counts > 0) | (a.counts > level) | (b.counts > level)
     a_capped = cap(a, level).counts
@@ -386,33 +386,31 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
                            ) -> list[SetVote]:
     """Per-sample-set votes of the reference function f."""
     n, tp, level = params.n, params.t_prime, params.cap_level
-    half = tp // 2
+    half, size = tp // 2, params.splitset_size
     votes = []
     for j in range(params.votes):
         block_a = alice_letters[j * tp:(j + 1) * tp]
         block_b = bob_letters[j * tp:(j + 1) * tp]
-        s_a = Multiset.from_letters(block_a[:params.splitset_size], n)
-        s_b = Multiset.from_letters(block_b[:params.splitset_size], n)
-        a = OccurrenceVector(np.bincount(block_a[tp - half:], minlength=n))
-        b = OccurrenceVector(np.bincount(block_b[tp - half:], minlength=n))
-        a_capped = cap(a, level)
-        b_capped = cap(b, level)
+        s = OccurrenceVector.from_letters(  # both parties' split sets
+            np.concatenate((block_a[:size], block_b[:size])), n)
+        a = OccurrenceVector.from_letters(block_a[tp - half:], n)
+        b = OccurrenceVector.from_letters(block_b[tp - half:], n)
 
-        max_buckets = int((1 + s_a.counts + s_b.counts).max())
+        max_buckets = 1 + int(s.counts.max())
         a_matrix = split_occurrence_matrix(a, max_buckets,
                                            shared.stream("alice-split", j))
         b_matrix = split_occurrence_matrix(b, max_buckets,
                                            shared.stream("bob-split", j))
-        delta1 = capped_split_adjustment(a, b, s_a, s_b, level,
+        delta1 = capped_split_adjustment(a, b, s, level,
                                          a_matrix=a_matrix, b_matrix=b_matrix)
 
-        tau = threshold_tau(n + s_a.size + s_b.size, half, params.eps)
+        tau = threshold_tau(n + s.t, half, params.eps)
         headroom = 2.0 * (tau - delta1)
         if headroom <= 0:
             votes.append(SetVote(delta1, 0.0, tau, headroom, False, Decision.FAR))
             continue
 
-        rotated = haar_rotate(a_capped.counts - b_capped.counts,
+        rotated = haar_rotate(cap(a, level).counts - cap(b, level).counts,
                               shared.stream("rotation", j))
         biases = n * rotated ** 2 / (headroom * params.votes)
         hits = bernoulli_hits(biases, params.bernoulli_trials,

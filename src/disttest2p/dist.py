@@ -1,10 +1,11 @@
 """Discrete distributions, sample sets, occurrence vectors and split machinery.
 
 Everything here works over a finite alphabet whose letters are the integers
-``0 .. n-1``.  Probabilities are float64, counts are int64.  All container
-types are immutable after construction (arrays are marked read-only), so they
-can be shared freely between concurrent trials; random generators are never
-stored inside them.
+``0 .. n-1``.  Probabilities are float64, counts are int64; every count
+vector, the split multiset S included, is an :class:`OccurrenceVector`.  All
+container types are immutable after construction (arrays are marked
+read-only), so they can be shared freely between concurrent trials; random
+generators are never stored inside them.
 """
 
 from __future__ import annotations
@@ -44,42 +45,9 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class Multiset:
-    """Multiset of letters from ``0 .. n-1``, stored as a dense count vector."""
-
-    counts: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("count vector must be 1-D and non-empty")
-        if np.any(c < 0):
-            raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "counts", _readonly(c))
-        object.__setattr__(self, "n", c.size)
-
-    @classmethod
-    def from_letters(cls, letters, n: int) -> "Multiset":
-        letters = np.asarray(letters, dtype=np.int64)
-        if letters.size and (letters.min() < 0 or letters.max() >= n):
-            raise ValueError("letter out of range")
-        return cls(np.bincount(letters, minlength=n))
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.sum())
-
-    def union(self, other: "Multiset") -> "Multiset":
-        """Multiset sum (multiplicities add)."""
-        if self.n != other.n:
-            raise ValueError("mismatched alphabets")
-        return Multiset(self.counts + other.counts)
-
-
-@dataclass(frozen=True)
 class OccurrenceVector:
-    """Per-letter counts of a sample set; ``t`` is the total sample count."""
+    """Per-letter counts over ``0 .. n-1`` (of a sample set, or the
+    multiplicities of a multiset); ``t`` is their total."""
 
     counts: np.ndarray
 
@@ -90,6 +58,14 @@ class OccurrenceVector:
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", _readonly(c))
+
+    @classmethod
+    def from_letters(cls, letters, n: int) -> "OccurrenceVector":
+        """Count each letter ``0 .. n-1`` in ``letters``."""
+        letters = np.asarray(letters, dtype=np.int64)
+        if letters.size and (letters.min() < 0 or letters.max() >= n):
+            raise ValueError("letter out of range")
+        return cls(np.bincount(letters, minlength=n))
 
     @property
     def n(self) -> int:
@@ -210,14 +186,7 @@ def poisson_sample(lam: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(lam))
 
 
-def occurrence_vector(samples: IndexedSampleSet, n: int) -> OccurrenceVector:
-    """Count occurrences of each letter ``0 .. n-1`` in the sample set."""
-    if samples.t and samples.letters.max() >= n:
-        raise ValueError("sample letter out of range for requested alphabet")
-    return OccurrenceVector(np.bincount(samples.letters, minlength=n))
-
-
-def split_map(s: Multiset, n: int) -> SplitMap:
+def split_map(s: OccurrenceVector, n: int) -> SplitMap:
     """Bucket counts ``a_i = 1 + multiplicity of i in S``."""
     if s.n != n:
         raise ValueError("multiset alphabet does not match")
@@ -232,24 +201,15 @@ def split_distribution(p: Distribution, sm: SplitMap) -> Distribution:
     return Distribution(np.repeat(per_bucket, sm.bucket_counts))
 
 
-def split_sample(letter: int, sm: SplitMap, rng: np.random.Generator) -> int:
-    """Recast one ground-alphabet draw as a draw from the split distribution."""
-    if not 0 <= letter < sm.n:
-        raise ValueError("letter out of range")
-    a = int(sm.bucket_counts[letter])
-    j = int(rng.integers(a)) if a > 1 else 0
-    return int(sm.offsets[letter]) + j
-
-
 def split_samples(samples: IndexedSampleSet, sm: SplitMap,
                   rng: np.random.Generator) -> IndexedSampleSet:
-    """Vectorised :func:`split_sample` over a whole sample set."""
+    """Recast each ground-alphabet draw as a draw from the split
+    distribution: a uniform bucket of its letter."""
     if samples.n != sm.n:
         raise ValueError("mismatched alphabets")
     a = sm.bucket_counts[samples.letters]
+    # rng.random() <= 1 - 2**-53, so j <= a - 1 for every a below 2**53
     j = np.floor(rng.random(samples.t) * a).astype(np.int64)
-    # floating-point corner: rng.random() < 1 so j < a, but clip to be safe
-    np.clip(j, 0, a - 1, out=j)
     return IndexedSampleSet(sm.offsets[samples.letters] + j, sm.total_letters)
 
 

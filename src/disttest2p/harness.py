@@ -42,6 +42,12 @@ def require_positive(params, *names: str) -> None:
             raise ConfigError(f"{name} must be finite and positive")
 
 
+def check_eps(eps: float) -> None:
+    """Refuse a distance parameter outside (0, 2], the range of ell_1."""
+    if not 0 < eps <= 2:  # NaN fails too
+        raise ConfigError("eps must be in (0, 2]")
+
+
 def _or_inf(compute) -> float:
     """``compute()``, or inf if it overflows or divides by zero, so that no
     range check accepts it."""
@@ -58,8 +64,7 @@ def check_params(params, precondition: str, constants: tuple,
     spells out the bound), ``n < 2^63`` (which bounds ``m <= n`` too) and
     each named derived size in (0, 2^63).  A bound or size whose computation
     overflows or divides by zero is refused."""
-    if not 0 < params.eps <= 2:
-        raise ConfigError("eps must be in (0, 2]")
+    check_eps(params.eps)
     require_positive(params, *constants)
     floor = _or_inf(params.min_samples)
     if not floor <= params.t:

@@ -27,7 +27,7 @@ from .closeness import norm_estimates_agree, threshold_tau
 from .dist import (
     Distribution,
     IndexedSampleSet,
-    Multiset,
+    OccurrenceVector,
     SplitMap,
     draw,
     split_map,
@@ -102,15 +102,10 @@ class JointDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2 or p.size == 0:
-            raise ValueError("joint probabilities must be a non-empty matrix")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        p = np.ascontiguousarray(p)
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        if p.ndim != 2:
+            raise ValueError("joint probabilities must be a matrix")
+        flat = Distribution(p.ravel()).probs  # the probability-vector rule
+        object.__setattr__(self, "probs", flat.reshape(p.shape))
 
     @property
     def n(self) -> int:
@@ -286,8 +281,8 @@ def _alice_pool(rep: int, split_block, block, params: ITParams,
     and her split letters at the pool.
     """
     n = params.n
-    sm_a = split_map(Multiset.from_letters(split_block[:min(params.t_prime, n)],
-                                           n), n)
+    sm_a = split_map(OccurrenceVector.from_letters(
+        split_block[:min(params.t_prime, n)], n), n)
     a = split_samples(IndexedSampleSet(block, n), sm_a,
                       shared.stream("alice-recast", rep))
     order, bounds = indices_set_vector(a, sm_a.total_letters)
@@ -342,7 +337,7 @@ def _bob_vote(rep: int, split_block, bp_block, bq_block, pool, a_letters,
     if pool.size < 4:
         return (), Decision.SAME
     m = params.m
-    sm_b = split_map(Multiset.from_letters(split_block[:m], m), m)
+    sm_b = split_map(OccurrenceVector.from_letters(split_block[:m], m), m)
     b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
                         shared.stream("bob-recast-p", rep))
     b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .harness import ProtocolError
 
 _PRIME = (1 << 31) - 1  # Mersenne prime modulus of the polynomial hashes
 
@@ -37,6 +39,18 @@ class L2Sketch:
         """Length-prefixed float64 counter vector (one 64-bit word each)."""
         return struct.pack("<I", self.counters.size) + \
             self.counters.astype("<f8", copy=False).tobytes()
+
+
+def sketch_from_bytes(payload: bytes, template: L2Sketch) -> L2Sketch:
+    """Inverse of :meth:`L2Sketch.to_bytes`, into the receiver's ``template``."""
+    width = template.counters.size
+    if len(payload) != 4 + 8 * width or \
+            struct.unpack_from("<I", payload, 0)[0] != width:
+        raise ProtocolError(f"sketch payload does not hold {width} counters")
+    counters = np.frombuffer(payload, dtype="<f8", offset=4, count=width)
+    if not np.isfinite(counters).all():
+        raise ProtocolError("sketch payload holds a non-finite counter")
+    return replace(template, counters=counters)
 
 
 def sketch_width(alpha: float, delta: float) -> tuple[int, int]:

@@ -28,7 +28,6 @@ from disttest2p.closeness import (
 from disttest2p.cli import ExperimentConfig, rows_to_csv, run_experiment
 from disttest2p.dist import (
     Distribution,
-    Multiset,
     OccurrenceVector,
     l1_distance,
     l2_norm_sq,
@@ -79,7 +78,7 @@ def test_c1_split_distribution_laws():
         n = int(r.integers(2, 21))
         p = Distribution(r.dirichlet(np.ones(n)))
         q = Distribution(r.dirichlet(np.ones(n)))
-        s = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 11))), n)
+        s = OccurrenceVector.from_letters(r.integers(0, n, int(r.integers(0, 11))), n)
         sm = split_map(s, n)
         drift = abs(l1_distance(p, q)
                     - l1_distance(split_distribution(p, sm),
@@ -92,7 +91,7 @@ def test_c1_split_distribution_laws():
     norms = []
     for _ in range(500):
         size = poisson_sample(m, r)
-        s = Multiset.from_letters(sample(p, size, r).letters, n)
+        s = OccurrenceVector.from_letters(sample(p, size, r).letters, n)
         norms.append(l2_norm_sq(split_distribution(p, split_map(s, n))))
     mean_norm = float(np.mean(norms))
     norm_ok = mean_norm <= 1.1 / m
@@ -167,13 +166,14 @@ def test_c4_secure_reference_closeness():
         n = int(r.integers(1, 31))
         a = OccurrenceVector(r.integers(0, 12, n))
         b = OccurrenceVector(r.integers(0, 12, n))
-        s_a = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
-        s_b = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
+        s_a = OccurrenceVector.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
+        s_b = OccurrenceVector.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
         level = int(r.integers(1, 10))
-        buckets = 1 + s_a.union(s_b).counts
+        s = OccurrenceVector(s_a.counts + s_b.counts)
+        buckets = 1 + s.counts
         am = split_occurrence_matrix(a, int(buckets.max()), r)
         bm = split_occurrence_matrix(b, int(buckets.max()), r)
-        delta1 = capped_split_adjustment(a, b, s_a, s_b, level,
+        delta1 = capped_split_adjustment(a, b, s, level,
                                          a_matrix=am, b_matrix=bm)
         split_sq = float(((split_occurrences_from_matrix(am, buckets)
                            - split_occurrences_from_matrix(bm, buckets)) ** 2).sum())
@@ -195,9 +195,9 @@ def test_c4_secure_reference_closeness():
         b = OccurrenceVector(np.bincount(sample(q, 10 ** 4, rr).letters,
                                          minlength=100))
         size = max(1, 10 ** 4 // level)
-        s_a = Multiset.from_letters(sample(p, size, rr).letters, 100)
-        s_b = Multiset.from_letters(sample(q, size, rr).letters, 100)
-        buckets = 1 + s_a.union(s_b).counts
+        s_a = OccurrenceVector.from_letters(sample(p, size, rr).letters, 100)
+        s_b = OccurrenceVector.from_letters(sample(q, size, rr).letters, 100)
+        buckets = 1 + s_a.counts + s_b.counts
         am = split_occurrence_matrix(a, int(buckets.max()), rr)
         bm = split_occurrence_matrix(b, int(buckets.max()), rr)
         split_sq = float(((split_occurrences_from_matrix(am, buckets)
@@ -287,8 +287,8 @@ def test_c5_it2p_end_to_end():
         p1 = Distribution(r.dirichlet(np.ones(nn)))
         p2 = Distribution(r.dirichlet(np.ones(mm)))
         joint = product_joint(p1, p2)
-        s_a = Multiset.from_letters(r.integers(0, nn, 6), nn)
-        s_b = Multiset.from_letters(r.integers(0, mm, 4), mm)
+        s_a = OccurrenceVector.from_letters(r.integers(0, nn, 6), nn)
+        s_b = OccurrenceVector.from_letters(r.integers(0, mm, 4), mm)
         sm_a, sm_b = split_map(s_a, nn), split_map(s_b, mm)
         split = split_joint(joint, sm_a, sm_b)
         u = np.sort(r.choice(sm_a.total_letters, size=5, replace=False))

@@ -354,6 +354,17 @@ class TestBadInput:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows and all(",skipped," in row for row in rows)
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "5"])
+    def test_hardgen_eps_out_of_range(self, capsys, eps):
+        # hardgen's verdict is the closeness threshold rule, so it takes the
+        # testers' eps range though its params do not read eps
+        assert main(["run", "--protocol", "hardgen", "--n", "2000", "--t", "62",
+                     "--set", "m=32", "--set", "beta=8", "--set", "l_big=62",
+                     "--eps", eps]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 and all(
+            ",skipped," in row and "eps must be in (0, 2]" in row for row in rows)
+
     def test_independence_without_m(self, capsys):
         for protocol in ("independence", "independence-oneway"):
             err = self.refused(capsys, ["run", "--protocol", protocol, "--n",

@@ -23,7 +23,6 @@ from disttest2p.closeness import (
     threshold_tau,
 )
 from disttest2p.dist import (
-    Multiset,
     OccurrenceVector,
     l1_distance,
     sample,
@@ -187,28 +186,28 @@ def enumerate_adjustment_mean(a_count: int, buckets: int, capped_sq: float):
     return total / buckets ** a_count
 
 
-def adjustment(a, b, s_a, s_b, level, r):
+def adjustment(a, b, s, level, r):
     """``capped_split_adjustment`` on recasts drawn from ``r``: the a matrix,
-    then the b matrix, each with the union's largest bucket count."""
-    max_buckets = int((1 + s_a.union(s_b).counts).max())
+    then the b matrix, each with the split multiset's largest bucket count."""
+    max_buckets = 1 + int(s.counts.max())
     am = split_occurrence_matrix(a, max_buckets, r)
     bm = split_occurrence_matrix(b, max_buckets, r)
-    return capped_split_adjustment(a, b, s_a, s_b, level, am, bm)
+    return capped_split_adjustment(a, b, s, level, am, bm)
 
 
 class TestCappedSplitAdjustment:
     def test_no_split_no_cap(self):
         a = OccurrenceVector([2, 1])
         b = OccurrenceVector([0, 1])
-        s_empty = Multiset.from_letters([], 2)
-        assert adjustment(a, b, s_empty, s_empty, 10, rng()) == 0.0
+        s_empty = OccurrenceVector.from_letters([], 2)
+        assert adjustment(a, b, s_empty, 10, rng()) == 0.0
 
     def test_capped_only(self):
         # A=(4), B=(0), no split, L=2: 16 - 4 = 12 exactly
         a = OccurrenceVector([4])
         b = OccurrenceVector([0])
-        s_empty = Multiset.from_letters([], 1)
-        assert adjustment(a, b, s_empty, s_empty, 2, rng()) == 12.0
+        s_empty = OccurrenceVector.from_letters([], 1)
+        assert adjustment(a, b, s_empty, 2, rng()) == 12.0
 
     def test_split_enumeration_mean(self):
         # A=(4,0), B=(0,0), S={letter 0}, L=10: letter 0 splits into 2 buckets,
@@ -218,10 +217,9 @@ class TestCappedSplitAdjustment:
         assert exact == -6.0
         a = OccurrenceVector([4, 0])
         b = OccurrenceVector([0, 0])
-        s_a = Multiset.from_letters([0], 2)
-        s_empty = Multiset.from_letters([], 2)
+        s = OccurrenceVector.from_letters([0], 2)
         r = rng(5)
-        draws = [adjustment(a, b, s_a, s_empty, 10, r)
+        draws = [adjustment(a, b, s, 10, r)
                  for _ in range(4000)]
         assert max(draws) <= 0.0
         assert np.mean(draws) == pytest.approx(exact, abs=0.2)
@@ -233,14 +231,15 @@ class TestCappedSplitAdjustment:
             n = int(r.integers(1, 31))
             a = OccurrenceVector(r.integers(0, 12, n))
             b = OccurrenceVector(r.integers(0, 12, n))
-            s_a = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
-            s_b = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 8))), n)
+            s_a, s_b = (OccurrenceVector.from_letters(
+                r.integers(0, n, int(r.integers(0, 8))), n) for _ in range(2))
             level = int(r.integers(1, 10))
-            buckets = 1 + s_a.union(s_b).counts
+            s = OccurrenceVector(s_a.counts + s_b.counts)
+            buckets = 1 + s.counts
             max_buckets = int(buckets.max())
             am = split_occurrence_matrix(a, max_buckets, r)
             bm = split_occurrence_matrix(b, max_buckets, r)
-            delta1 = capped_split_adjustment(a, b, s_a, s_b, level,
+            delta1 = capped_split_adjustment(a, b, s, level,
                                              a_matrix=am, b_matrix=bm)
             a_split = split_occurrences_from_matrix(am, buckets)
             b_split = split_occurrences_from_matrix(bm, buckets)
@@ -277,9 +276,9 @@ class TestOccurrenceBounds:
         for _ in range(trials):
             a = OccurrenceVector(np.bincount(sample(p, t, r).letters, minlength=n))
             b = OccurrenceVector(np.bincount(sample(q, t, r).letters, minlength=n))
-            s_a = Multiset.from_letters(sample(p, t // level, r).letters, n)
-            s_b = Multiset.from_letters(sample(q, t // level, r).letters, n)
-            buckets = 1 + s_a.union(s_b).counts
+            s_a = OccurrenceVector.from_letters(sample(p, t // level, r).letters, n)
+            s_b = OccurrenceVector.from_letters(sample(q, t // level, r).letters, n)
+            buckets = 1 + s_a.counts + s_b.counts
             am = split_occurrence_matrix(a, int(buckets.max()), r)
             bm = split_occurrence_matrix(b, int(buckets.max()), r)
             a_split = split_occurrences_from_matrix(am, buckets)
@@ -301,9 +300,10 @@ class TestSecureReference:
         letters = sample(p, params.t, rng(9)).letters
         # recast by one matrix, identical occurrences adjust by exactly 0
         x = OccurrenceVector(np.bincount(letters, minlength=200))
-        s = Multiset.from_letters(letters[:params.splitset_size], 200)
-        m = split_occurrence_matrix(x, int((1 + 2 * s.counts).max()), rng(3))
-        assert capped_split_adjustment(x, x, s, s, params.cap_level, m, m) == 0.0
+        s = OccurrenceVector.from_letters(
+            np.tile(letters[:params.splitset_size], 2), 200)
+        m = split_occurrence_matrix(x, 1 + int(s.counts.max()), rng(3))
+        assert capped_split_adjustment(x, x, s, params.cap_level, m, m) == 0.0
         # each party recasts on its own stream, so only delta2 vanishes
         for vote in secure_reference_votes(letters, letters, params,
                                            SharedRandomness(3)):

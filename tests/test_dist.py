@@ -17,18 +17,16 @@ from disttest2p import dist
 from disttest2p.dist import (
     Distribution,
     IndexedSampleSet,
-    Multiset,
     OccurrenceVector,
+    SplitMap,
     cap,
     l1_distance,
     l2_norm_sq,
-    occurrence_vector,
     poisson_sample,
     sample,
     split_distribution,
     split_map,
     split_occurrence_matrix,
-    split_sample,
     split_samples,
     uniform_distribution,
 )
@@ -53,14 +51,18 @@ class TestTypes:
             p.probs[0] = 1.0
 
     def test_multiset_from_letters(self):
-        s = Multiset.from_letters([0, 0, 2], 3)
-        assert s.size == 3
+        s = OccurrenceVector.from_letters([0, 0, 2], 3)
+        assert s.t == 3
         assert list(s.counts) == [2, 0, 1]
 
     def test_multiset_union_adds_multiplicities(self):
-        a = Multiset.from_letters([0, 1], 3)
-        b = Multiset.from_letters([1, 1], 3)
-        assert list(a.union(b).counts) == [1, 3, 0]
+        # the union of split sets is the count vector of their joined letters
+        a, b = [0, 1], [1, 1]
+        union = OccurrenceVector.from_letters(a + b, 3)
+        assert list(union.counts) == [1, 3, 0]
+        assert np.array_equal(union.counts,
+                              OccurrenceVector.from_letters(a, 3).counts
+                              + OccurrenceVector.from_letters(b, 3).counts)
 
     def test_occurrence_vector_totals(self):
         x = OccurrenceVector([2, 0, 1])
@@ -184,43 +186,43 @@ class TestPoisson:
 
 
 class TestOccurrenceVector:
+    from_letters = staticmethod(OccurrenceVector.from_letters)
+
     def test_direct_count(self):
-        s = IndexedSampleSet(np.array([0, 0, 2]), 3)
-        assert list(occurrence_vector(s, 3).counts) == [2, 0, 1]
+        assert list(self.from_letters([0, 0, 2], 3).counts) == [2, 0, 1]
 
     def test_empty(self):
-        s = IndexedSampleSet(np.array([], dtype=np.int64), 4)
-        assert list(occurrence_vector(s, 4).counts) == [0, 0, 0, 0]
+        letters = np.array([], dtype=np.int64)
+        assert list(self.from_letters(letters, 4).counts) == [0, 0, 0, 0]
 
     def test_single_letter(self):
-        s = IndexedSampleSet(np.array([1, 1, 1, 1]), 2)
-        assert list(occurrence_vector(s, 2).counts) == [0, 4]
+        assert list(self.from_letters([1, 1, 1, 1], 2).counts) == [0, 4]
 
     def test_out_of_range(self):
-        s = IndexedSampleSet(np.array([3]), 4)
-        with pytest.raises(ValueError):
-            occurrence_vector(s, 3)
+        for letters in ([3], [-1, 0]):
+            with pytest.raises(ValueError):
+                self.from_letters(letters, 3)
 
     def test_sum_recovers_t(self):
         r = rng(11)
         for _ in range(20):
             t = int(r.integers(0, 200))
             s = sample(uniform_distribution(13), t, r)
-            assert occurrence_vector(s, 13).t == t
+            assert self.from_letters(s.letters, 13).t == t
 
 
 class TestSplitMap:
     def test_empty_multiset_identity(self):
-        sm = split_map(Multiset.from_letters([], 3), 3)
+        sm = split_map(OccurrenceVector.from_letters([], 3), 3)
         assert list(sm.bucket_counts) == [1, 1, 1]
         assert sm.total_letters == 3
 
     def test_single_element(self):
-        sm = split_map(Multiset.from_letters([0], 2), 2)
+        sm = split_map(OccurrenceVector.from_letters([0], 2), 2)
         assert list(sm.bucket_counts) == [2, 1]
 
     def test_repeats(self):
-        sm = split_map(Multiset.from_letters([0, 0, 1], 2), 2)
+        sm = split_map(OccurrenceVector.from_letters([0, 0, 1], 2), 2)
         assert list(sm.bucket_counts) == [3, 2]
         assert sm.total_letters == 2 + 3
 
@@ -228,30 +230,31 @@ class TestSplitMap:
 class TestSplitDistribution:
     def test_hand_example(self):
         p = Distribution([0.5, 0.5])
-        sm = split_map(Multiset.from_letters([0], 2), 2)
+        sm = split_map(OccurrenceVector.from_letters([0], 2), 2)
         assert np.allclose(split_distribution(p, sm).probs, [0.25, 0.25, 0.5])
 
     def test_identity_split(self):
         p = Distribution([0.3, 0.2, 0.5])
-        sm = split_map(Multiset.from_letters([], 3), 3)
+        sm = split_map(OccurrenceVector.from_letters([], 3), 3)
         assert np.allclose(split_distribution(p, sm).probs, p.probs)
 
     def test_unsplit_mass_unchanged(self):
         p = Distribution([1.0, 0.0])
-        sm = split_map(Multiset.from_letters([1], 2), 2)
+        sm = split_map(OccurrenceVector.from_letters([1], 2), 2)
         assert np.allclose(split_distribution(p, sm).probs, [1.0, 0.0, 0.0])
 
 
 class TestSplitSample:
     def test_single_bucket_deterministic(self):
-        sm = split_map(Multiset.from_letters([1], 3), 3)
-        assert split_sample(0, sm, rng()) == 0  # letter 0 has one bucket
+        # S = {1}: letters 0 and 2 keep one bucket each, at 0 and 3
+        sm = split_map(OccurrenceVector.from_letters([1], 3), 3)
+        recast = split_samples(IndexedSampleSet([0, 2, 0, 2], 3), sm, rng())
+        assert list(recast.letters) == [0, 3, 0, 3]
 
     def test_two_buckets_balanced(self):
-        sm = split_map(Multiset.from_letters([0], 2), 2)
-        r = rng(2)
-        hits = np.bincount([split_sample(0, sm, r) for _ in range(10 ** 5)],
-                           minlength=2)
+        sm = split_map(OccurrenceVector.from_letters([0], 2), 2)
+        zeros = IndexedSampleSet(np.zeros(10 ** 5, dtype=np.int64), 2)
+        hits = np.bincount(split_samples(zeros, sm, rng(2)).letters, minlength=2)
         assert np.all(np.abs(hits / 10 ** 5 - 0.5) < 0.01)
 
     def test_composition_matches_split_distribution(self):
@@ -259,13 +262,27 @@ class TestSplitSample:
         n, t = 5, 10 ** 5
         r = rng(3)
         p = Distribution(r.dirichlet(np.ones(n)))
-        s = Multiset.from_letters(r.integers(0, n, 3), n)
+        s = OccurrenceVector.from_letters(r.integers(0, n, 3), n)
         sm = split_map(s, n)
         recast = split_samples(sample(p, t, r), sm, r)
         direct = sample(split_distribution(p, sm), t, r)
         h1 = np.bincount(recast.letters, minlength=sm.total_letters) / t
         h2 = np.bincount(direct.letters, minlength=sm.total_letters) / t
         assert 0.5 * np.abs(h1 - h2).sum() < 0.02
+
+    def test_largest_uniform_lands_in_last_bucket(self):
+        # Generator.random() is at most 1 - 2**-53, and floor(u * a) is then
+        # still a - 1 for every bucket count a below 2**53: no clamp needed.
+        class LargestUniform:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0 ** -53)
+
+        a = np.concatenate((np.arange(1, 2 ** 20 + 1), 2 ** np.arange(21, 53),
+                            [2 ** 53 - 1]))
+        sm = SplitMap(a)
+        samples = IndexedSampleSet(np.arange(a.size), a.size)
+        recast = split_samples(samples, sm, LargestUniform())
+        assert np.array_equal(recast.letters, sm.offsets[1:] - 1)
 
 
 class TestCap:
@@ -338,7 +355,8 @@ class TestSplitLaws:
             n = int(r.integers(2, 21))
             p = Distribution(r.dirichlet(np.ones(n)))
             q = Distribution(r.dirichlet(np.ones(n)))
-            s = Multiset.from_letters(r.integers(0, n, int(r.integers(0, 11))), n)
+            s = OccurrenceVector.from_letters(
+                r.integers(0, n, int(r.integers(0, 11))), n)
             sm = split_map(s, n)
             before = l1_distance(p, q)
             after = l1_distance(split_distribution(p, sm),
@@ -352,8 +370,8 @@ class TestSplitLaws:
             p = Distribution(r.dirichlet(np.ones(n)))
             base = r.integers(0, n, int(r.integers(0, 6)))
             extra = r.integers(0, n, int(r.integers(1, 6)))
-            small = Multiset.from_letters(base, n)
-            large = Multiset.from_letters(np.concatenate([base, extra]), n)
+            small = OccurrenceVector.from_letters(base, n)
+            large = OccurrenceVector.from_letters(np.concatenate([base, extra]), n)
             norm_small = l2_norm_sq(split_distribution(p, split_map(small, n)))
             norm_large = l2_norm_sq(split_distribution(p, split_map(large, n)))
             assert norm_large <= norm_small + 1e-15
@@ -366,7 +384,7 @@ class TestSplitLaws:
         norms = []
         for _ in range(trials):
             size = poisson_sample(m, r)
-            s = Multiset.from_letters(sample(p, size, r).letters, n)
+            s = OccurrenceVector.from_letters(sample(p, size, r).letters, n)
             norms.append(l2_norm_sq(split_distribution(p, split_map(s, n))))
         assert np.mean(norms) <= 1.1 / m
 

@@ -13,7 +13,7 @@ from scipy import stats
 from disttest2p.dist import (
     Distribution,
     IndexedSampleSet,
-    Multiset,
+    OccurrenceVector,
     sample,
     split_map,
     uniform_distribution,
@@ -170,6 +170,22 @@ class TestJointDistribution:
         assert np.array_equal(b.letters, flat % joint.m)
         assert ours.random() == numpys.random()
 
+    @pytest.mark.parametrize("probs", [
+        [[0.5, -0.1], [0.3, 0.3]],
+        [[0.25, 0.25], [0.25, 0.25 + 1e-6]],
+        [0.5, 0.5],
+        np.zeros((0, 3)),
+    ], ids=["negative", "sum-off-by-1e-6", "1-d", "empty"])
+    def test_bad_matrix_refused(self, probs):
+        with pytest.raises(ValueError):
+            JointDistribution(np.asarray(probs, dtype=np.float64))
+
+    def test_probs_read_only(self):
+        joint = JointDistribution(np.full((2, 3), 1 / 6))
+        assert joint.probs.shape == (2, 3)
+        with pytest.raises(ValueError):
+            joint.probs[0, 0] = 1.0
+
     def test_sample_joint_index_aligned(self):
         joint = diagonal_joint(10, 10)
         a, b = joint.sample_joint(500, rng(4))
@@ -189,8 +205,8 @@ class TestAlphabetReductionLaws:
             p1 = Distribution(r.dirichlet(np.ones(n)))
             p2 = Distribution(r.dirichlet(np.ones(m)))
             joint = product_joint(p1, p2)
-            s_a = Multiset.from_letters(r.integers(0, n, 5), n)
-            s_b = Multiset.from_letters(r.integers(0, m, 4), m)
+            s_a = OccurrenceVector.from_letters(r.integers(0, n, 5), n)
+            s_b = OccurrenceVector.from_letters(r.integers(0, m, 4), m)
             sm_a, sm_b = split_map(s_a, n), split_map(s_b, m)
             split = split_joint(joint, sm_a, sm_b)
             u = np.sort(r.choice(sm_a.total_letters, size=4, replace=False))
@@ -207,8 +223,8 @@ class TestAlphabetReductionLaws:
         good = 0
         trials = 200
         for _ in range(trials):
-            s_a = Multiset.from_letters(r.integers(0, n, n), n)
-            s_b = Multiset.from_letters(r.integers(0, m, m), m)
+            s_a = OccurrenceVector.from_letters(r.integers(0, n, n), n)
+            s_b = OccurrenceVector.from_letters(r.integers(0, m, m), m)
             sm_a, sm_b = split_map(s_a, n), split_map(s_b, m)
             split = split_joint(joint, sm_a, sm_b)
             ell = min(8, sm_a.total_letters)
@@ -274,8 +290,8 @@ class TestRepetitionPipeline:
         n = m = 10
         joint = diagonal_joint(n, m)
         r = rng(8)
-        s_a = Multiset.from_letters(r.integers(0, n, n), n)
-        s_b = Multiset.from_letters(r.integers(0, m, m), m)
+        s_a = OccurrenceVector.from_letters(r.integers(0, n, n), n)
+        s_b = OccurrenceVector.from_letters(r.integers(0, m, m), m)
         sm_a, sm_b = split_map(s_a, n), split_map(s_b, m)
         m_b = sm_b.total_letters
         chosen = np.sort(r.choice(sm_a.total_letters, size=8, replace=False))
@@ -317,7 +333,7 @@ class TestAlicePool:
 
     def compare(self, params, split_block, block, trials=4000):
         n = params.n
-        sm_a = split_map(Multiset.from_letters(
+        sm_a = split_map(OccurrenceVector.from_letters(
             split_block[:min(params.t_prime, n)], n), n)
         # the block avoids the split letters, so its recast, Gamma, is fixed
         gamma = np.unique(sm_a.offsets[block])

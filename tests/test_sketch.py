@@ -14,15 +14,15 @@ import disttest2p.closeness as closeness
 from disttest2p.closeness import (
     CTParams,
     _decode_multiset,
+    _decode_norm,
+    _decode_verdict,
     _encode_multiset,
-    _sketch_from_bytes,
     ct2p_insecure,
     far_instance,
 )
 from disttest2p.dist import (
     IndexedSampleSet,
-    Multiset,
-    occurrence_vector,
+    OccurrenceVector,
     sample,
     uniform_distribution,
 )
@@ -34,6 +34,7 @@ from disttest2p.sketch import (
     collision_norm_estimate,
     estimate_distance_sq,
     l2_sketch,
+    sketch_from_bytes,
     sketch_width,
 )
 
@@ -207,7 +208,7 @@ class TestL2Sketch:
     @settings(max_examples=60, deadline=None)
     def test_distance_estimate_keeps_counters(self, pair, seed):
         sa, sb = (l2_sketch(np.array(v), 0.4, 0.2, seed) for v in pair)
-        sa = _sketch_from_bytes(sa.to_bytes(), sa)  # read-only, as received
+        sa = sketch_from_bytes(sa.to_bytes(), sa)  # read-only, as received
         before = sa.counters.copy(), sb.counters.copy()
         got = estimate_distance_sq(sa, sb)
         assert np.array_equal(sa.counters, before[0])
@@ -220,7 +221,7 @@ class TestL2Sketch:
     @settings(max_examples=60, deadline=None)
     def test_bytes_round_trip(self, pair, alpha, delta, seed):
         s = l2_sketch(np.array(pair[0]), alpha, delta, seed)
-        back = _sketch_from_bytes(s.to_bytes(), s)
+        back = sketch_from_bytes(s.to_bytes(), s)
         assert np.array_equal(back.counters, s.counters)
         assert (back.seed, back.alpha, back.delta, back.groups,
                 back.group_size) == (seed, alpha, delta, s.groups, s.group_size)
@@ -305,7 +306,7 @@ class TestL2Sketch:
 
 class TestWirePayloads:
     def test_multiset_round_trip(self):
-        s = Multiset(np.array([0, 3, 0, 1, 7]))
+        s = OccurrenceVector(np.array([0, 3, 0, 1, 7]))
         decoded = _decode_multiset(_encode_multiset(s), 5)
         assert np.array_equal(decoded.counts, s.counts)
 
@@ -328,7 +329,7 @@ class TestWirePayloads:
         for payload in (short, template.to_bytes()[:-1],
                         template.to_bytes() + b"\x00", b"\x00\x00"):
             with pytest.raises(ProtocolError):
-                _sketch_from_bytes(payload, template)
+                sketch_from_bytes(payload, template)
 
     @given(st.one_of(st.binary(max_size=120),
                      st.builds(lambda count, body: struct.pack("<I", count) + body,
@@ -350,15 +351,54 @@ class TestWirePayloads:
 
     @given(st.one_of(st.binary(max_size=120),
                      st.builds(lambda count, body: struct.pack("<I", count) + body,
-                               st.integers(0, 12), st.binary(max_size=100))))
+                               st.integers(0, 12), st.binary(max_size=100)),
+                     st.lists(st.floats(), min_size=8, max_size=8).map(
+                         lambda counters: struct.pack("<I8d", 8, *counters))))
     @settings(max_examples=200, deadline=None)
+    @example(struct.pack("<I8d", 8, *[0.0] * 7, math.nan))
+    @example(struct.pack("<I8d", 8, -math.inf, *[1.0] * 7))
     def test_fuzzed_sketch_raises_only_protocol_error(self, payload):
         template = l2_sketch(np.ones(5), 0.9, 0.9, 0)  # 8 counters, 68 bytes
         try:
-            decoded = _sketch_from_bytes(payload, template)
+            decoded = sketch_from_bytes(payload, template)
         except ProtocolError:
             return
         assert decoded.counters.size == template.counters.size
+        assert np.isfinite(decoded.counters).all()
+
+    @pytest.mark.parametrize("payload", [
+        b"", struct.pack("<f", 0.5), struct.pack("<d", 0.5) + b"\x00",
+        struct.pack("<d", math.nan), struct.pack("<d", -0.25),
+        struct.pack("<d", 1.5), struct.pack("<d", math.inf),
+    ], ids=["empty", "short", "trailing", "nan", "negative", "above-1", "inf"])
+    def test_bad_norm_rejected(self, payload):
+        with pytest.raises(ProtocolError):
+            _decode_norm(payload)
+
+    def test_norm_round_trip(self):
+        for value in (0.0, 1e-300, 0.125, 1.0):
+            assert _decode_norm(struct.pack("<d", value)) == value
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"\x02", b"\xff", b"\x00\x00", b"\x01\x00", b"0", b"1",
+    ], ids=["empty", "two", "ff", "two-bytes-same", "two-bytes-far",
+            "ascii-0", "ascii-1"])
+    def test_bad_verdict_rejected(self, payload):
+        with pytest.raises(ProtocolError):
+            _decode_verdict(payload)
+
+    def test_nan_norm_ends_the_protocol(self, monkeypatch):
+        # Bob refuses Alice's NaN norm message instead of gating on it
+        monkeypatch.setattr(closeness, "collision_norm_estimate",
+                            lambda counts: math.nan)
+        r = np.random.default_rng(5)
+        a, b = (sample(uniform_distribution(200), 274, r) for _ in range(2))
+        with pytest.raises(ProtocolError, match="norm payload"):
+            ct2p_insecure(a, b, CTParams(n=200, t=274, eps=1.0), seed=5)
+
+    def test_verdict_bytes(self):
+        assert _decode_verdict(b"\x00") is Decision.SAME
+        assert _decode_verdict(b"\x01") is Decision.FAR
 
 
 class TestCollisionEstimate:
@@ -376,14 +416,16 @@ class TestCollisionEstimate:
             with pytest.raises(ValueError):
                 collision_norm_estimate(s)
             with pytest.raises(ValueError):
-                collision_norm_estimate(occurrence_vector(s, 2))
+                collision_norm_estimate(
+                    OccurrenceVector.from_letters(s.letters, 2))
 
     @given(letters=st.lists(st.integers(0, 300), min_size=2, max_size=400),
            extra=st.integers(0, 50))
     def test_occurrence_vector_matches_letters(self, letters, extra):
         # the split alphabet's count vector, zero counts included
         s = IndexedSampleSet(np.array(letters), 301 + extra)
-        assert collision_norm_estimate(occurrence_vector(s, s.n)) == \
+        assert collision_norm_estimate(
+            OccurrenceVector.from_letters(s.letters, s.n)) == \
             collision_norm_estimate(s)
 
     @given(letters=st.lists(st.integers(0, 60_000), min_size=2, max_size=400),
