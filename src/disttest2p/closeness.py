@@ -27,7 +27,6 @@ from .dist import (
     IndexedSampleSet,
     OccurrenceVector,
     SplitOccurrenceMatrix,
-    cap,
     split_map,
     split_occurrence_matrix,
     split_samples,
@@ -166,9 +165,10 @@ def _encode_multiset(s: OccurrenceVector) -> bytes:
     return struct.pack("<I", letters.size) + items.tobytes()
 
 
-def _decode_multiset(payload: bytes, n: int) -> OccurrenceVector:
+def _decode_multiset(payload: bytes, n: int, max_total: int) -> OccurrenceVector:
     """The inverse of :func:`_encode_multiset`: ascending letters below ``n``,
-    each with a positive multiplicity."""
+    each with a positive multiplicity, at most ``max_total`` in all (the
+    multiplicities size the receiver's split alphabet)."""
     if len(payload) < 4 or \
             len(payload) != 4 + 8 * struct.unpack_from("<I", payload, 0)[0]:
         raise ProtocolError(f"split multiset payload of {len(payload)} bytes "
@@ -180,6 +180,9 @@ def _decode_multiset(payload: bytes, n: int) -> OccurrenceVector:
                              and (np.diff(letters) > 0).all()):
         raise ProtocolError(f"split multiset letters are not ascending and "
                             f"below n={n}, or a multiplicity is 0")
+    # At most n multiplicities, each below 2**32: the int64 sum cannot wrap.
+    if mults.sum() > max_total:
+        raise ProtocolError(f"split multiset holds more than {max_total} letters")
     counts = np.zeros(n, dtype=np.int64)
     counts[letters] = mults
     return OccurrenceVector(counts)
@@ -212,7 +215,7 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
 
     def alice_program():
         payload = yield Recv()
-        s = _decode_multiset(payload, params.n)
+        s = _decode_multiset(payload, params.n, params.t)
         sm = split_map(s, params.n)
         split = split_samples(alice_samples, sm, shared.stream("alice-split"))
         a_s = OccurrenceVector.from_letters(split.letters, sm.total_letters)
@@ -224,9 +227,10 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
 
     def bob_program():
         rng = shared.stream("bob-splitset")
-        size = int(rng.poisson(params.split_rate))
-        # Bootstrap the multiset from Bob's own sample pool; at valid
-        # parameters the rate is far below t so the reuse is negligible.
+        # |S| is clamped at t, the most Alice accepts.  Bootstrap the
+        # multiset from Bob's own sample pool; at valid parameters the rate
+        # is far below t, so the clamp is rare and the reuse negligible.
+        size = min(int(rng.poisson(params.split_rate)), params.t)
         picks = rng.integers(0, bob_samples.t, size=size)
         s = OccurrenceVector.from_letters(bob_samples.letters[picks], params.n)
         yield Send(_encode_multiset(s))
@@ -278,24 +282,25 @@ def capped_split_adjustment(a: OccurrenceVector, b: OccurrenceVector,
 
     Only letters in ``M = {i : i in S or A_i > L or B_i > L}`` can contribute,
     where ``s`` holds S, both parties' split sets; everywhere else the capped
-    difference equals the unsplit one.  The split matrices are the two
-    parties' recasts, with at least ``1 + max(s)`` buckets per letter.
+    difference equals the unsplit one.  So only the members' counts are
+    capped, and their split-matrix rows are read one bucket count at a time.
+    The split matrices are the two parties' recasts, with at least
+    ``1 + max(s)`` buckets per letter.
     """
     if level < 1:
         raise ValueError("cap threshold must be at least 1")
-    buckets = 1 + s.counts
-    members = (s.counts > 0) | (a.counts > level) | (b.counts > level)
-    a_capped = cap(a, level).counts
-    b_capped = cap(b, level).counts
+    letters = np.flatnonzero((s.counts > 0) |
+                             (np.maximum(a.counts, b.counts) > level))
+    buckets = 1 + s.counts[letters]
+    capped = np.minimum(a.counts[letters], level) - \
+        np.minimum(b.counts[letters], level)
     # Every term is an integer below 2**53, so summing in int64 per bucket
     # count gives the same value as a float sum in any order.
-    total = 0
-    letters = np.nonzero(members)[0]
-    for m in np.unique(buckets[letters]):
-        group = letters[buckets[letters] == m]
-        diff = a_matrix.row(group, int(m)) - b_matrix.row(group, int(m))
-        total += int((diff ** 2).sum()) - \
-            int(((a_capped[group] - b_capped[group]) ** 2).sum())
+    total = -int(capped @ capped)
+    for m in np.flatnonzero(np.bincount(buckets)).tolist():
+        group = letters[buckets == m]
+        diff = (a_matrix.row(group, m) - b_matrix.row(group, m)).ravel()
+        total += int(diff @ diff)
     return float(total)
 
 
@@ -365,7 +370,7 @@ def bernoulli_hits(biases: np.ndarray, trials: int,
     """
     n = biases.size
     unclamped = biases <= 1.0
-    c = n - int(unclamped.sum())
+    c = n - np.count_nonzero(unclamped)
     if c == n or (c and rng.random() >= ((n - c) / n) ** trials):
         return None
     return int(rng.binomial(trials, float(biases[unclamped].mean())))
@@ -384,18 +389,32 @@ class SetVote:
 def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
                            params: SecureCTParams, shared: SharedRandomness
                            ) -> list[SetVote]:
-    """Per-sample-set votes of the reference function f."""
-    n, tp, level = params.n, params.t_prime, params.cap_level
-    half, size = tp // 2, params.splitset_size
-    votes = []
-    for j in range(params.votes):
-        block_a = alice_letters[j * tp:(j + 1) * tp]
-        block_b = bob_letters[j * tp:(j + 1) * tp]
-        s = OccurrenceVector.from_letters(  # both parties' split sets
-            np.concatenate((block_a[:size], block_b[:size])), n)
-        a = OccurrenceVector.from_letters(block_a[tp - half:], n)
-        b = OccurrenceVector.from_letters(block_b[tp - half:], n)
+    """Per-sample-set votes of the reference function f.
 
+    Vote ``j`` reads block ``j`` of ``t'`` letters of each party: the first
+    ``splitset_size`` of each make up S, and the last ``t' // 2`` are the
+    party's samples A (Alice) or B (Bob).  All the votes' S, A and B are
+    counted by one ``bincount`` over the keys ``(3j + r) n + letter``, with
+    ``r`` = 0, 1, 2 for S, A, B.
+    """
+    n, tp, level, reps = params.n, params.t_prime, params.cap_level, params.votes
+    half, size, trials = tp // 2, params.splitset_size, params.bernoulli_trials
+    if len(alice_letters) < reps * tp or len(bob_letters) < reps * tp:
+        raise ValueError(f"need {reps * tp} letters per party")
+    blocks_a = alice_letters[:reps * tp].reshape(reps, tp)
+    blocks_b = bob_letters[:reps * tp].reshape(reps, tp)
+    letters = np.concatenate((blocks_a[:, :size], blocks_b[:, :size],
+                              blocks_a[:, tp - half:], blocks_b[:, tp - half:]),
+                             axis=1)
+    if letters.min() < 0 or letters.max() >= n:
+        raise ValueError("letter out of range")
+    role = np.repeat([0, 1, 2], [2 * size, half, half])
+    keys = letters + n * (3 * np.arange(reps)[:, None] + role)
+    counts = np.bincount(keys.ravel(), minlength=3 * reps * n).reshape(reps, 3, n)
+
+    votes = []
+    for j in range(reps):
+        s, a, b = (OccurrenceVector(c) for c in counts[j])
         max_buckets = 1 + int(s.counts.max())
         a_matrix = split_occurrence_matrix(a, max_buckets,
                                            shared.stream("alice-split", j))
@@ -404,21 +423,20 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
         delta1 = capped_split_adjustment(a, b, s, level,
                                          a_matrix=a_matrix, b_matrix=b_matrix)
 
-        tau = threshold_tau(n + s.t, half, params.eps)
+        tau = threshold_tau(n + 2 * size, half, params.eps)  # |S| = 2 size
         headroom = 2.0 * (tau - delta1)
         if headroom <= 0:
             votes.append(SetVote(delta1, 0.0, tau, headroom, False, Decision.FAR))
             continue
 
-        rotated = haar_rotate(cap(a, level).counts - cap(b, level).counts,
-                              shared.stream("rotation", j))
-        biases = n * rotated ** 2 / (headroom * params.votes)
-        hits = bernoulli_hits(biases, params.bernoulli_trials,
-                              shared.stream("bernoulli", j))
+        capped = np.minimum(a.counts, level) - np.minimum(b.counts, level)
+        rotated = haar_rotate(capped, shared.stream("rotation", j))
+        biases = n * rotated ** 2 / (headroom * reps)
+        hits = bernoulli_hits(biases, trials, shared.stream("bernoulli", j))
         if hits is None:
             votes.append(SetVote(delta1, 0.0, tau, headroom, True, Decision.FAR))
             continue
-        delta2 = headroom * params.votes / params.bernoulli_trials * hits
+        delta2 = headroom * reps / trials * hits
         vote = Decision.FAR if delta1 + delta2 > tau else Decision.SAME
         votes.append(SetVote(delta1, delta2, tau, headroom, False, vote))
     return votes

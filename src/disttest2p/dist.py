@@ -2,10 +2,12 @@
 
 Everything here works over a finite alphabet whose letters are the integers
 ``0 .. n-1``.  Probabilities are float64, counts are int64; every count
-vector, the split multiset S included, is an :class:`OccurrenceVector`.  All
-container types are immutable after construction (arrays are marked
-read-only), so they can be shared freely between concurrent trials; random
-generators are never stored inside them.
+vector, the split multiset S included, is an :class:`OccurrenceVector`.  The
+container types are frozen and hold read-only views of their arrays, so they
+can be shared freely between concurrent trials; random generators are never
+stored inside them.  A view shares memory with the array it was built from
+and leaves that array writeable: a caller who goes on to write to it changes
+the container too.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ PROB_SUM_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+    """A read-only view of ``a`` (contiguous); ``a`` itself stays writeable."""
+    view = np.ascontiguousarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,7 @@ class Distribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probability vector must be 1-D and non-empty")
-        if np.any(p < 0):
+        if p.min() < 0:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
@@ -55,7 +58,7 @@ class OccurrenceVector:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("count vector must be 1-D and non-empty")
-        if np.any(c < 0):
+        if c.min() < 0:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", _readonly(c))
 
@@ -92,7 +95,7 @@ class SplitMap:
         a = np.asarray(self.bucket_counts, dtype=np.int64)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("bucket counts must be 1-D and non-empty")
-        if np.any(a < 1):
+        if a.min() < 1:
             raise ValueError("every letter needs at least one bucket")
         off = np.concatenate(([0], np.cumsum(a)))
         object.__setattr__(self, "bucket_counts", _readonly(a))
@@ -202,15 +205,22 @@ def split_distribution(p: Distribution, sm: SplitMap) -> Distribution:
 
 
 def split_samples(samples: IndexedSampleSet, sm: SplitMap,
-                  rng: np.random.Generator) -> IndexedSampleSet:
+                  rng: np.random.Generator, positions=None) -> IndexedSampleSet:
     """Recast each ground-alphabet draw as a draw from the split
-    distribution: a uniform bucket of its letter."""
+    distribution: a uniform bucket of its letter.
+
+    ``positions`` (an index array into the samples) recasts only those
+    samples, in that order.  One uniform is still drawn per sample, so each
+    returned letter is the full recast's letter at its position.
+    """
     if samples.n != sm.n:
         raise ValueError("mismatched alphabets")
-    a = sm.bucket_counts[samples.letters]
+    u, letters = rng.random(samples.t), samples.letters
+    if positions is not None:
+        u, letters = u[positions], letters[positions]
     # rng.random() <= 1 - 2**-53, so j <= a - 1 for every a below 2**53
-    j = np.floor(rng.random(samples.t) * a).astype(np.int64)
-    return IndexedSampleSet(sm.offsets[samples.letters] + j, sm.total_letters)
+    j = np.floor(u * sm.bucket_counts[letters]).astype(np.int64)
+    return IndexedSampleSet(sm.offsets[letters] + j, sm.total_letters)
 
 
 def cap(x: OccurrenceVector, level: int) -> OccurrenceVector:

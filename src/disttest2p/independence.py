@@ -11,7 +11,10 @@ occurrence vectors, gated by a factor-4 collision-norm agreement check.
 A repetition is two halves, :func:`_alice_pool` and :func:`_bob_vote`.  The
 two-way IT2p runs both inside its trusted evaluation; the one-way variant
 runs them on either side of one message.  Same inputs and seed give both
-testers the same votes.
+testers the same votes.  A vote reads Bob's samples only at Alice's pool,
+the few hundred sample indices carrying her live letters, so Bob recasts
+his blocks only there, and one sort of the four paired subsets' codes gives
+both the collision norms and the exact distance.
 """
 
 from __future__ import annotations
@@ -230,21 +233,6 @@ class ITParams:
         return self.c_eps * self.eps
 
 
-def _pair_codes(a_letters: np.ndarray, b_letters: np.ndarray, m_split: int
-                ) -> np.ndarray:
-    return a_letters * m_split + b_letters
-
-
-def _exact_distance_sq(x_codes: np.ndarray, y_codes: np.ndarray) -> float:
-    both = np.concatenate([x_codes, y_codes])
-    _, inverse = np.unique(both, return_inverse=True)
-    cx = np.bincount(inverse[:x_codes.size])
-    cy = np.bincount(inverse[x_codes.size:], minlength=cx.size)
-    if cy.size > cx.size:
-        cx = np.pad(cx, (0, cy.size - cx.size))
-    return float(((cx - cy) ** 2).sum())
-
-
 @dataclass(frozen=True)
 class Repetition:
     """One repetition's reduction and vote; kept for the invariant suite."""
@@ -306,22 +294,32 @@ def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
 
     The three letter arrays are Alice's and Bob's two blocks' letters at the
     pool; ``perm`` shuffles their positions, and its first four quarters
-    pair Alice's letters with the joint block (p) and the product block (q).
+    pair Alice's letters with the joint block (p) and the product block (q):
+    ``x1, y1, x2, y2`` = p, q, p, q.  One ``np.unique`` over the pair codes
+    ``a * m_b + b``, tagged ``4 * code + quarter``, counts every code in
+    every quarter: ``x1`` and ``y1`` give the collision norms, ``x2`` and
+    ``y2`` the exact squared distance of their occurrence vectors.
     Returns ``(subsets, vote)``.
     """
     size = min(params.subset_budget, perm.size // 4)
     subsets = tuple(perm[q * size:(q + 1) * size] for q in range(4))
-    i_p, i_q, j_p, j_q = subsets
-    x1 = _pair_codes(a_letters[i_p], bp_letters[i_p], m_b)
-    y1 = _pair_codes(a_letters[i_q], bq_letters[i_q], m_b)
-    x2 = _pair_codes(a_letters[j_p], bp_letters[j_p], m_b)
-    y2 = _pair_codes(a_letters[j_q], bq_letters[j_q], m_b)
+    first = perm[:4 * size]
+    quarter = np.repeat(np.arange(4), size)
+    b_letters = np.where(quarter % 2, bq_letters[first], bp_letters[first])
+    tagged = 4 * (a_letters[first] * m_b + b_letters) + quarter
+    values, counts = np.unique(tagged, return_counts=True)
+    tags = values & 3
     if size >= 2:
-        chi = norm_estimates_agree(collision_norm_estimate(x1),
-                                   collision_norm_estimate(y1), size)
+        chi = norm_estimates_agree(
+            collision_norm_estimate(OccurrenceVector(counts[tags == 0])),
+            collision_norm_estimate(OccurrenceVector(counts[tags == 1])), size)
     else:
         chi = True
-    delta = _exact_distance_sq(x2, y2)
+    # ||X2 - Y2||^2 = sum x^2 + sum y^2 - 2 sum xy; a code held by both has
+    # its x2 entry (tag 2) right before its y2 entry (tag 3).
+    both = (tags[:-1] == 2) & (values[1:] == values[:-1] + 1)
+    delta = float((counts[tags >= 2] ** 2).sum() -
+                  2 * (counts[:-1][both] * counts[1:][both]).sum())
     tau = threshold_tau(max(1, lam * params.m), size, params.eps_reduced)
     return subsets, Decision.SAME if (chi and delta <= tau) else Decision.FAR
 
@@ -330,20 +328,23 @@ def _bob_vote(rep: int, split_block, bp_block, bq_block, pool, a_letters,
               lam: int, params: ITParams, shared: SharedRandomness):
     """Bob's half of a repetition, given Alice's pool and her letters at it.
 
-    He splits his alphabet by one block, recasts his joint (p) and product
-    (q) blocks onto it, shuffles the pool and votes.  A pool of fewer than
-    four samples abstains (SAME).  Returns ``(subsets, vote)``.
+    He splits his alphabet by one block and shuffles the pool.  His joint
+    (p) and product (q) blocks are recast onto the split alphabet only at
+    the pool, the one place the vote reads them; each recast still draws a
+    uniform per sample of its block, so the letters are those of a full
+    recast.  A pool of fewer than four samples abstains (SAME).  Returns
+    ``(subsets, vote)``.
     """
     if pool.size < 4:
         return (), Decision.SAME
     m = params.m
     sm_b = split_map(OccurrenceVector.from_letters(split_block[:m], m), m)
     b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
-                        shared.stream("bob-recast-p", rep))
+                        shared.stream("bob-recast-p", rep), pool)
     b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,
-                        shared.stream("bob-recast-q", rep))
+                        shared.stream("bob-recast-q", rep), pool)
     perm = shared.stream("oneway-bob", rep).permutation(pool.size)
-    return _pair_vote(perm, a_letters, b_p.letters[pool], b_q.letters[pool],
+    return _pair_vote(perm, a_letters, b_p.letters, b_q.letters,
                       sm_b.total_letters, lam, params)
 
 
@@ -395,13 +396,15 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 
-def _decode_oneway(payload: bytes, reps: int, t_prime: int) -> list:
+def _decode_oneway(payload: bytes, reps: int, t_prime: int,
+                   alphabet: int) -> list:
     """Bob's parse of Alice's message into ``(lam, pool, letters)`` per repetition.
 
     A repetition is ``<u4 lam`` and, when ``lam > 0``, ``<u4 pool_size``, the
     pool's sample indices (``<u4``, each below ``t_prime``) and Alice's split
-    letters at them (``<u2``).  The indices are distinct, and the letters
-    take exactly ``lam`` values: every live letter owns an index.
+    letters at them (``<u2``, each below ``alphabet``, the size of her split
+    alphabet).  The indices are distinct, and the letters take exactly
+    ``lam`` values: every live letter owns an index.
     """
     offset = 0
 
@@ -421,9 +424,12 @@ def _decode_oneway(payload: bytes, reps: int, t_prime: int) -> list:
         pool, letters = take(pool_size, "<u4"), take(pool_size, "<u2")
         if pool.size and pool.max() >= t_prime:
             raise ProtocolError("pool index out of range")
-        if np.unique(pool).size != pool.size:
+        if letters.size and letters.max() >= alphabet:
+            raise ProtocolError(f"pool letter not below {alphabet}")
+        # Both bincounts are bounded by the two checks above.
+        if (np.bincount(pool) > 1).any():
             raise ProtocolError("repeated pool index")
-        if np.unique(letters).size != lam:
+        if np.count_nonzero(np.bincount(letters)) != lam:
             raise ProtocolError(f"pool letters are not {lam} distinct letters")
         out.append((lam, pool, letters))
     if offset != len(payload):
@@ -456,7 +462,8 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
 
     def bob_program():
         payload = yield Recv()
-        received = _decode_oneway(payload, reps, tp)
+        received = _decode_oneway(payload, reps, tp,
+                                  params.n + min(tp, params.n))
         b_blocks = _blocks(bob.letters, tp, 3 * reps)
         votes = [_bob_vote(i, *b_blocks[3 * i:3 * i + 3], pool, a_letters, lam,
                            params, shared)[1]

@@ -136,6 +136,21 @@ class TestCT2pInsecure:
         assert v1.decision == v2.decision
         assert v1.transcript.messages == v2.transcript.messages
 
+    def test_split_set_size_clamped_at_t(self):
+        # split_rate = t: Bob's Poisson draw passes t on about half the
+        # seeds; the clamp keeps his multiset within Alice's bound t
+        params = CTParams(n=10, t=30, eps=1.0, big_c=1.0, c_split=270.0)
+        assert params.split_rate == params.t
+        p = uniform_distribution(10)
+        over = 0
+        for seed in range(12):
+            draw = SharedRandomness(seed).stream("bob-splitset").poisson(
+                params.split_rate)
+            over += draw > params.t
+            r = rng(seed)
+            ct2p_insecure(sample(p, 30, r), sample(p, 30, r), params, seed)
+        assert over > 0
+
     def test_communication_spread_small(self):
         # n=100, t=1e4: bits within 4x across 20 seeds
         params = CTParams(n=100, t=10 ** 4, eps=1.0)
@@ -330,6 +345,48 @@ class TestSecureReference:
                                   sample(p, params.t, r), params, 1)
         assert v.transcript.modeled_secure_bits > 0
         assert v.transcript.total_bits == 8 * (4 + 16)  # seed exchange only
+
+    def test_votes_count_their_blocks(self, monkeypatch):
+        # vote j's S is the first splitset_size letters of both parties'
+        # block j, and its A and B are the last t'//2 letters of each block
+        params = self.params()
+        tp, half, size = params.t_prime, params.t_prime // 2, params.splitset_size
+        r = rng(12)
+        a = sample(uniform_distribution(200), params.t, r).letters
+        b = sample(far_instance(200, 1.0), params.t, r).letters
+        seen = []
+        adjust = closeness.capped_split_adjustment
+        monkeypatch.setattr(closeness, "capped_split_adjustment",
+                            lambda *args, **kw: seen.append(args[:3])
+                            or adjust(*args, **kw))
+        secure_reference_votes(a, b, params, SharedRandomness(2))
+        assert len(seen) == params.votes
+        for j, (got_a, got_b, got_s) in enumerate(seen):
+            block_a, block_b = a[j * tp:(j + 1) * tp], b[j * tp:(j + 1) * tp]
+            for got, letters in ((got_a, block_a[tp - half:]),
+                                 (got_b, block_b[tp - half:]),
+                                 (got_s, np.concatenate((block_a[:size],
+                                                         block_b[:size])))):
+                assert np.array_equal(
+                    got.counts, OccurrenceVector.from_letters(letters, 200).counts)
+
+    @pytest.mark.parametrize("party, position, letter", [
+        (0, 0, 200), (1, 0, -1), (0, -1, -1), (1, -1, 200)])
+    def test_letter_out_of_range_refused(self, party, position, letter):
+        # the first letter of a split set and the last sample letter are read
+        params = self.params()
+        letters = [np.zeros(params.t, dtype=np.int64) for _ in range(2)]
+        letters[party][position % (params.votes * params.t_prime)] = letter
+        with pytest.raises(ValueError, match="letter out of range"):
+            secure_reference_f(*letters, params, 0)
+
+    def test_too_few_letters_refused(self):
+        params = self.params()
+        short = np.zeros(params.votes * params.t_prime - 1, dtype=np.int64)
+        full = np.zeros(params.t, dtype=np.int64)
+        for pair in ((short, full), (full, short)):
+            with pytest.raises(ValueError, match="letters per party"):
+                secure_reference_f(*pair, params, 0)
 
     def test_headroom_nonpositive_forces_far_vote(self):
         # engineered: far-but-tiny tau via eps at the top of the range

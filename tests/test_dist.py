@@ -50,6 +50,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             p.probs[0] = 1.0
 
+    @pytest.mark.parametrize("make, name, array", [
+        (lambda a: IndexedSampleSet(a, 5), "letters", np.arange(5)),
+        (OccurrenceVector, "counts", np.arange(5)),
+        (SplitMap, "bucket_counts", np.arange(1, 6)),
+        (Distribution, "probs", np.full(4, 0.25)),
+    ], ids=["IndexedSampleSet", "OccurrenceVector", "SplitMap", "Distribution"])
+    def test_caller_array_stays_writeable(self, make, name, array):
+        held = getattr(make(array), name)
+        assert np.shares_memory(held, array)  # a view, not a copy
+        assert not held.flags.writeable
+        array[0] = array[1]  # the caller's own array keeps its flag
+        assert held[0] == array[1]
+
     def test_multiset_from_letters(self):
         s = OccurrenceVector.from_letters([0, 0, 2], 3)
         assert s.t == 3
@@ -283,6 +296,24 @@ class TestSplitSample:
         samples = IndexedSampleSet(np.arange(a.size), a.size)
         recast = split_samples(samples, sm, LargestUniform())
         assert np.array_equal(recast.letters, sm.offsets[1:] - 1)
+
+    @given(st.data())
+    def test_positions_pick_the_full_recast(self, data):
+        n = data.draw(st.integers(1, 6))
+        letters = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+        split = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        positions = np.array(data.draw(st.lists(
+            st.integers(0, max(len(letters) - 1, 0)),
+            max_size=40 if letters else 0)), dtype=np.int64)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        samples = IndexedSampleSet(letters, n)
+        sm = split_map(OccurrenceVector.from_letters(split, n), n)
+        r_full, r_part = rng(seed), rng(seed)
+        full = split_samples(samples, sm, r_full)
+        part = split_samples(samples, sm, r_part, positions)
+        assert part.n == full.n == sm.total_letters
+        assert np.array_equal(part.letters, full.letters[positions])
+        assert r_part.random() == r_full.random()  # the same draws consumed
 
 
 class TestCap:

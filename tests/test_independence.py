@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from disttest2p import independence
 from disttest2p.dist import (
     Distribution,
     IndexedSampleSet,
@@ -28,6 +29,7 @@ from disttest2p.independence import (
     ITParams,
     _alice_pool,
     _decode_oneway,
+    _pair_vote,
     JointDistribution,
     conditioned,
     conditioned_rows,
@@ -41,6 +43,7 @@ from disttest2p.independence import (
     split_joint,
     usi_sample,
 )
+from disttest2p.sketch import collision_norm_estimate
 
 
 def rng(seed=0):
@@ -326,6 +329,52 @@ class TestRepetitionPipeline:
         assert 0.5 * np.abs(hist - truth).sum() < 0.05
 
 
+def reference_pair_statistics(perm, a, bp, bq, m_b: int, size: int):
+    """The vote's statistics, one count per statistic: the collision norms
+    of x1 and y1 (None below two pairs) and the exact ``||X2 - Y2||^2``."""
+    i_p, i_q, j_p, j_q = (perm[q * size:(q + 1) * size] for q in range(4))
+    x1, y1 = a[i_p] * m_b + bp[i_p], a[i_q] * m_b + bq[i_q]
+    x2, y2 = a[j_p] * m_b + bp[j_p], a[j_q] * m_b + bq[j_q]
+    norms = None
+    if size >= 2:
+        norms = (collision_norm_estimate(x1), collision_norm_estimate(y1))
+    top = int(max(x2.max(), y2.max())) + 1
+    delta = ((np.bincount(x2, minlength=top) -
+              np.bincount(y2, minlength=top)) ** 2).sum()
+    return norms, float(delta)
+
+
+class TestPairVote:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_statistics_match_the_reference(self, data):
+        # tau set to the reference distance, then half below it, pins the
+        # vote's distance; the norm gate's arguments are recorded
+        pool = data.draw(st.integers(4, 40))
+        m_b = data.draw(st.integers(1, 6))
+        a, bp, bq = (np.array(data.draw(st.lists(
+            st.integers(0, top - 1), min_size=pool, max_size=pool)))
+            for top in (data.draw(st.integers(1, 8)), m_b, m_b))
+        perm = np.array(data.draw(st.permutations(range(pool))))
+        params = types.SimpleNamespace(subset_budget=data.draw(
+            st.integers(1, 12)), m=1, eps_reduced=1.0)
+        size = min(params.subset_budget, pool // 4)
+        norms, delta = reference_pair_statistics(perm, a, bp, bq, m_b, size)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(independence, "norm_estimates_agree",
+                       lambda x, y, t: seen.append((x, y, t)) or True)
+            for tau, expected in ((delta, Decision.SAME),
+                                  (delta - 0.5, Decision.FAR)):
+                mp.setattr(independence, "threshold_tau",
+                           lambda *args, tau=tau: tau)
+                subsets, vote = _pair_vote(perm, a, bp, bq, m_b, 1, params)
+                assert vote is expected
+        assert seen == ([] if norms is None else [(*norms, size)] * 2)
+        assert [q.tolist() for q in subsets] == \
+            [perm[q * size:(q + 1) * size].tolist() for q in range(4)]
+
+
 class TestAlicePool:
     """``_alice_pool`` in law against the sampler it replaced in IT2p:
     lambda = min(usi_sample(n_a, |Gamma|, ell), cap), then a uniform
@@ -496,7 +545,7 @@ class TestOneWayWire:
     def test_round_trip(self):
         payload = oneway_rep(0, [], []) + oneway_rep(2, [5, 0, 3], [7, 1, 7])
         (lam0, pool0, letters0), (lam1, pool1, letters1) = \
-            _decode_oneway(payload, 2, 6)
+            _decode_oneway(payload, 2, 6, 26)
         assert lam0 == 0 and pool0.size == 0 and letters0.size == 0
         assert lam1 == 2
         assert pool1.tolist() == [5, 0, 3] and letters1.tolist() == [7, 1, 7]
@@ -511,13 +560,27 @@ class TestOneWayWire:
         oneway_rep(2, [1, 1, 1, 1], [7, 7, 7, 7]),
         oneway_rep(2, [0, 1, 2], [7, 7, 7]),
         oneway_rep(1, [0, 1], [3, 4]),
+        oneway_rep(1, [0, 1], [26, 26]),
+        oneway_rep(2, [0, 1], [3, 65535]),
     ], ids=["empty", "short-header", "no-pool-size", "truncated-body",
             "trailing", "index-ge-t-prime", "pool-below-lambda",
             "repeated-index", "one-repeated-index", "letters-below-lambda",
-            "letters-above-lambda"])
+            "letters-above-lambda", "letter-eq-alphabet", "letter-ge-alphabet"])
     def test_bad_payload_rejected(self, payload):
+        # n = 20 and t' = 6: Alice's split alphabet has 20 + 6 = 26 letters
         with pytest.raises(ProtocolError):
-            _decode_oneway(payload, 1, 6)
+            _decode_oneway(payload, 1, 6, 26)
+
+    def test_letter_bound_is_alice_split_alphabet(self):
+        # Alice splits her n letters by the first min(t', n) of a block
+        params = ITParams(n=20, m=20, t=8000, eps=1.0, k=2)
+        tp, n = params.t_prime, params.n
+        a, b = product_joint(uniform_distribution(20),
+                             uniform_distribution(20)).sample_joint(8000, rng(4))
+        reps = it2p_votes(a, b, params, SharedRandomness(4))
+        assert {r.sm_a.total_letters for r in reps} == {n + min(tp, n)}
+        top = oneway_rep(1, [0], [n + min(tp, n) - 1])
+        assert _decode_oneway(top, 1, tp, n + min(tp, n))[0][0] == 1
 
     @given(st.lists(st.one_of(
                st.binary(max_size=24),
@@ -525,17 +588,18 @@ class TestOneWayWire:
                          st.integers(0, 4),
                          st.lists(st.integers(0, 9), max_size=6))),
                max_size=3).map(b"".join),
-           st.integers(1, 3), st.integers(1, 8))
+           st.integers(1, 3), st.integers(1, 8), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
     def test_fuzzed_payload_raises_only_protocol_error(self, payload, reps,
-                                                       t_prime):
+                                                       t_prime, alphabet):
         try:
-            decoded = _decode_oneway(payload, reps, t_prime)
+            decoded = _decode_oneway(payload, reps, t_prime, alphabet)
         except ProtocolError:
             return
         assert len(decoded) == reps
         for lam, pool, letters in decoded:
             assert pool.size == letters.size >= lam
             assert pool.size == 0 or pool.max() < t_prime
+            assert letters.size == 0 or letters.max() < alphabet
             assert np.unique(pool).size == pool.size
             assert np.unique(letters).size == lam

@@ -307,8 +307,14 @@ class TestL2Sketch:
 class TestWirePayloads:
     def test_multiset_round_trip(self):
         s = OccurrenceVector(np.array([0, 3, 0, 1, 7]))
-        decoded = _decode_multiset(_encode_multiset(s), 5)
+        decoded = _decode_multiset(_encode_multiset(s), 5, 11)
         assert np.array_equal(decoded.counts, s.counts)
+
+    def test_multiset_total_bound_is_inclusive(self):
+        payload = _encode_multiset(OccurrenceVector(np.array([0, 3, 0, 1, 7])))
+        assert _decode_multiset(payload, 5, 11).t == 11
+        with pytest.raises(ProtocolError, match="more than 10 letters"):
+            _decode_multiset(payload, 5, 10)
 
     @pytest.mark.parametrize("payload", [
         b"", b"\x01\x00", struct.pack("<I", 2) + struct.pack("<II", 1, 1),
@@ -316,11 +322,14 @@ class TestWirePayloads:
         struct.pack("<7I", 3, 3, 2, 3, 5, 1, 0),
         struct.pack("<III", 1, 1, 0),
         struct.pack("<5I", 2, 3, 1, 1, 1),
+        struct.pack("<III", 1, 0, 2 ** 32 - 1),
+        struct.pack("<5I", 2, 0, 2 ** 32 - 1, 4, 2 ** 32 - 1),
     ], ids=["empty", "short-count", "truncated", "trailing", "letter-ge-n",
-            "repeated-letter", "zero-multiplicity", "descending"])
+            "repeated-letter", "zero-multiplicity", "descending",
+            "multiplicity-above-t", "two-multiplicities-above-t"])
     def test_bad_multiset_rejected(self, payload):
         with pytest.raises(ProtocolError):
-            _decode_multiset(payload, 5)
+            _decode_multiset(payload, 5, 100)
 
     def test_sketch_width_mismatch_rejected(self):
         template = l2_sketch(np.ones(20), 0.3, 0.1, 0)
@@ -338,14 +347,16 @@ class TestWirePayloads:
                               max_size=6).map(
                          lambda items: struct.pack("<I", len(items)) + b"".join(
                              struct.pack("<II", *item) for item in items))),
-           st.integers(1, 40))
+           st.integers(1, 40), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)
-    def test_fuzzed_multiset_raises_only_protocol_error(self, payload, n):
+    def test_fuzzed_multiset_raises_only_protocol_error(self, payload, n,
+                                                         max_total):
         try:
-            decoded = _decode_multiset(payload, n)
+            decoded = _decode_multiset(payload, n, max_total)
         except ProtocolError:
             return
         assert decoded.counts.size == n
+        assert decoded.t <= max_total
         # only the encoding of a multiset decodes, to that multiset
         assert _encode_multiset(decoded) == payload
 
