@@ -330,6 +330,15 @@ def fixture_from_text(text: str) -> dict:
     return out
 
 
+def _read_constants(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fixture_from_text(fh.read())
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"constants file {path!r} is not UTF-8 text "
+                          f"(byte {err.start})") from None
+
+
 # ---------------------------------------------------------------------------
 # Instance files
 
@@ -379,16 +388,10 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _m_k_grids(protocol: str, m, k, default_k: int) -> dict:
-    """``ms`` and ``ks`` from the ``--m``/``--k`` values (None when absent).
-
-    A protocol whose grid has ``m`` needs ``--m``; one without ``m`` or ``k``
-    refuses the flag instead of ignoring it.
-    """
-    keys = PROTOCOLS[protocol].keys
-    if m is None and "m" in keys:
-        raise ConfigError(f"{protocol} needs --m")
+    """``ms`` and ``ks`` from ``--m``/``--k`` (None when absent); a flag the
+    protocol's grid lacks is refused instead of ignored."""
     for name, given in (("m", m), ("k", k)):
-        if given is not None and name not in keys:
+        if given is not None and name not in PROTOCOLS[protocol].keys:
             raise ConfigError(f"{protocol} takes no --{name}")
     return dict(ms=(0,) if m is None else tuple(m),
                 ks=(default_k,) if k is None else tuple(k))
@@ -449,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--protocol", choices=tuple(_GRIDS), required=True)
     cal.add_argument("--n", type=int, required=True)
     cal.add_argument("--eps", type=float, default=1.0)
-    cal.add_argument("--k", type=int, default=2)
+    cal.add_argument("--k", type=int, default=None,
+                     help="independence only (default 2)")
     cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--trials", type=int, default=60)
     cal.add_argument("--out", type=str, default="-")
@@ -503,8 +507,9 @@ def main(argv=None) -> int:
         elif args.command == "run":
             overrides = _parse_overrides(args.set)
             if args.constants:
-                with open(args.constants) as fh:
-                    overrides = {**fixture_from_text(fh.read()), **overrides}
+                overrides = {**_read_constants(args.constants), **overrides}
+            if args.m is None and "m" in PROTOCOLS[args.protocol].keys:
+                raise ConfigError(f"{args.protocol} needs --m")
             grids = _m_k_grids(args.protocol, args.m, args.k, default_k=1)
             cfg = ExperimentConfig(protocol=args.protocol, ns=tuple(args.n),
                                    ts=tuple(args.t), epss=tuple(args.eps),
@@ -513,8 +518,11 @@ def main(argv=None) -> int:
                                    **grids)
             _emit(rows_to_csv(run_experiment(cfg)), args.out)
         elif args.command == "calibrate":
+            # calibrate sets m = n itself: only run's --k rule applies
+            k = None if args.k is None else [args.k]
+            (k,) = _m_k_grids(args.protocol, None, k, default_k=2)["ks"]
             got = calibrate(args.protocol, args.n, args.eps, args.seed,
-                            trials=args.trials, k=args.k)
+                            trials=args.trials, k=k)
             if got is None:
                 sys.stderr.write(
                     "calibration infeasible: no grid point reached 0.75/0.75\n")

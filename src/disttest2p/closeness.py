@@ -7,10 +7,11 @@ and the squared distance estimate is compared against the threshold
 ``eps^2 t^2 / 2n + 2t``.
 
 ``ct2p_secure_reference`` evaluates the secure variant's reference function in
-the clear through the trusted evaluator: the distance is assembled as an exact
-split/cap adjustment (delta_1) plus a Bernoulli estimate of the capped
-distance (delta_2) driven by a shared random rotation, with a majority vote
-over sample sets.  Both the rotation and the Bernoulli trials are drawn in
+the clear through the trusted evaluator, charged the closed-form cost
+``SecureCTParams.secure_bits``.  The distance is an exact split/cap
+adjustment (delta_1) plus a Bernoulli estimate of the capped distance
+(delta_2) driven by a shared random rotation, with a majority vote over
+sample sets.  Both the rotation and the Bernoulli trials are drawn in
 closed form, exactly in law (see :func:`bernoulli_hits`).
 """
 
@@ -32,7 +33,6 @@ from .dist import (
     split_samples,
 )
 from .harness import (
-    CircuitSpec,
     ConfigError,
     Decision,
     ProtocolError,
@@ -43,8 +43,8 @@ from .harness import (
     check_eps,
     check_params,
     majority,
+    modeled_bits,
     run_protocol,
-    secure_transcript,
     trusted_evaluate,
 )
 from .sketch import (
@@ -357,6 +357,15 @@ class SecureCTParams:
     def splitset_size(self) -> int:
         return max(1, math.ceil(self.t_prime / (2 * self.cap_level)))
 
+    @property
+    def secure_bits(self) -> int:
+        """f's modeled cost: per vote, ``ceil(t'/L)`` split-matrix lookups and
+        one per Bernoulli trial, into ``2 votes n t'^2`` table words."""
+        return modeled_bits(
+            self.votes * (math.ceil(self.t_prime / self.cap_level)
+                          + self.bernoulli_trials),
+            2 * self.votes * self.n * self.t_prime ** 2)
+
 
 def bernoulli_hits(biases: np.ndarray, trials: int,
                    rng: np.random.Generator) -> int | None:
@@ -455,19 +464,13 @@ def secure_reference_f(alice_letters, bob_letters, params: SecureCTParams,
 def ct2p_secure_reference(alice_samples: IndexedSampleSet,
                           bob_samples: IndexedSampleSet,
                           params: SecureCTParams, seed: int) -> Verdict:
-    """Evaluate f through the trusted evaluator and meter its modeled cost."""
+    """Evaluate f through the trusted evaluator, at ``params.secure_bits``."""
     if alice_samples.t < params.votes * params.t_prime or \
             bob_samples.t < params.votes * params.t_prime:
         raise ConfigError("not enough samples for the configured sample sets")
     if alice_samples.n != params.n or bob_samples.n != params.n:
         raise ConfigError("sample alphabet does not match params")
 
-    spec = CircuitSpec(
-        gate_count=params.votes * (math.ceil(params.t_prime / params.cap_level)
-                                   + params.bernoulli_trials),
-        rom_entries=2 * params.votes * params.n * params.t_prime ** 2,
-    )
-    decision, secure_bits = trusted_evaluate(
+    return Verdict(*trusted_evaluate(
         lambda a, b: secure_reference_f(a, b, params, seed),
-        alice_samples.letters, bob_samples.letters, spec)
-    return Verdict(decision, secure_transcript(secure_bits))
+        alice_samples.letters, bob_samples.letters, params.secure_bits))

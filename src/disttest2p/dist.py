@@ -223,13 +223,6 @@ def split_samples(samples: IndexedSampleSet, sm: SplitMap,
     return IndexedSampleSet(sm.offsets[letters] + j, sm.total_letters)
 
 
-def cap(x: OccurrenceVector, level: int) -> OccurrenceVector:
-    """Clip every count at ``level``."""
-    if level < 0:
-        raise ValueError("cap level must be nonnegative")
-    return OccurrenceVector(np.minimum(x.counts, level))
-
-
 @dataclass(frozen=True)
 class SplitOccurrenceMatrix:
     """Random splits of each letter's count into every bucket count up to a cap.

@@ -6,9 +6,10 @@ bit-metered channel and returns their outputs together with the transcript.
 Every message is framed with a 4-byte length prefix charged to the sender.
 
 Secure evaluation is modeled, not implemented: :func:`trusted_evaluate` runs
-the joint function in the clear and returns, beside its output, the
-communication a circuit-with-lookup-table evaluation of the declared size
-would cost.
+the joint function in the clear and returns, beside its output, a transcript
+charged the bits that a circuit-with-lookup-table evaluation would cost.
+Each secure tester's params state that cost in closed form through
+:func:`modeled_bits`.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class Transcript:
 
     def record(self, sender: str, payload_len: int) -> None:
         self.messages.append((sender, FRAME_BYTES + payload_len))
-
-    def record_secure(self, bits: int) -> None:
-        self.modeled_secure_bits += int(bits)
 
     @property
     def total_bits(self) -> int:
@@ -238,29 +236,16 @@ def polylog_charge(word_bits: int, entries: int) -> int:
     return int(word_bits * logs * logs * C_OT)
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Declared size of the joint computation being modeled: its lookup
-    gates and the 64-bit words of its lookup table."""
-
-    gate_count: int
-    rom_entries: int
-
-    @property
-    def modeled_bits(self) -> int:
-        return self.gate_count * polylog_charge(64, self.rom_entries)
+def modeled_bits(gate_count: int, rom_entries: int) -> int:
+    """Modeled bits of a circuit of ``gate_count`` oblivious lookups into a
+    table of ``rom_entries`` 64-bit words."""
+    return gate_count * polylog_charge(64, rom_entries)
 
 
-def trusted_evaluate(func, a, b, spec: CircuitSpec):
-    """``(func(a, b), spec.modeled_bits)``: the joint function run in the
-    clear, and the bits a secure evaluation of the declared size would cost.
-    """
-    return func(a, b), spec.modeled_bits
-
-
-def secure_transcript(secure_bits: int) -> Transcript:
-    """Modeled bits, plus the 16-byte shared seed sent in the clear."""
-    transcript = Transcript()
+def trusted_evaluate(func, a, b, secure_bits: int):
+    """``(func(a, b), transcript)``: the joint function run in the clear, and
+    its modeled secure evaluation's transcript, the 16-byte shared seed sent
+    in the clear plus ``secure_bits``."""
+    transcript = Transcript(modeled_secure_bits=secure_bits)
     transcript.record("alice", 16)
-    transcript.record_secure(secure_bits)
-    return transcript
+    return func(a, b), transcript

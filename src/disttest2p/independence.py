@@ -9,8 +9,9 @@ sample sets are then closeness-tested with the exact squared distance of their
 occurrence vectors, gated by a factor-4 collision-norm agreement check.
 
 A repetition is two halves, :func:`_alice_pool` and :func:`_bob_vote`.  The
-two-way IT2p runs both inside its trusted evaluation; the one-way variant
-runs them on either side of one message.  Same inputs and seed give both
+two-way IT2p runs both inside its trusted evaluation, charged the closed-form
+cost ``ITParams.secure_bits``; the one-way variant runs them on either side
+of one message.  Same inputs and seed give both
 testers the same votes.  A vote reads Bob's samples only at Alice's pool,
 the few hundred sample indices carrying her live letters, so Bob recasts
 his blocks only there, and one sort of the four paired subsets' codes gives
@@ -37,7 +38,6 @@ from .dist import (
     split_samples,
 )
 from .harness import (
-    CircuitSpec,
     ConfigError,
     Decision,
     ProtocolError,
@@ -47,8 +47,8 @@ from .harness import (
     Verdict,
     check_params,
     majority,
+    modeled_bits,
     run_protocol,
-    secure_transcript,
     trusted_evaluate,
 )
 from .sketch import collision_norm_estimate
@@ -232,6 +232,15 @@ class ITParams:
     def eps_reduced(self) -> float:
         return self.c_eps * self.eps
 
+    @property
+    def secure_bits(self) -> int:
+        """IT2p's modeled cost (one-way IT2p is plaintext): per repetition,
+        ``max(1, ceil(t' ell / n))`` lookups into ``6 votes t' + n`` words."""
+        return modeled_bits(
+            self.votes * max(1, math.ceil(self.t_prime * self.ell_target
+                                          / self.n)),
+            6 * self.votes * self.t_prime + self.n)
+
 
 @dataclass(frozen=True)
 class Repetition:
@@ -384,15 +393,11 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
     """Two-way tester; all work is modeled inside the trusted evaluation."""
     _check_inputs(alice, bob, params)
     shared = SharedRandomness(seed)
-    spec = CircuitSpec(
-        gate_count=params.votes * max(
-            1, math.ceil(params.t_prime * params.ell_target / params.n)),
-        rom_entries=2 * 3 * params.votes * params.t_prime + params.n,
-    )
-    reps, secure_bits = trusted_evaluate(
-        lambda a, b: it2p_votes(a, b, params, shared), alice, bob, spec)
+    reps, transcript = trusted_evaluate(
+        lambda a, b: it2p_votes(a, b, params, shared), alice, bob,
+        params.secure_bits)
     return Verdict(majority([r.vote for r in reps], Decision.PRODUCT),
-                   secure_transcript(secure_bits),
+                   transcript,
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 

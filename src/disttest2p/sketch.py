@@ -18,6 +18,7 @@ import numpy as np
 from .harness import ProtocolError
 
 _PRIME = (1 << 31) - 1  # Mersenne prime modulus of the polynomial hashes
+_ROTATION_GRID_BITS = 20  # RoundedRotation rounds its entries to 2**-20
 
 
 @dataclass(frozen=True)
@@ -152,22 +153,18 @@ class RoundedRotation:
 
     The matrix is the Q factor of a seeded Gaussian matrix (sign-corrected so
     it is Haar-distributed), with every entry rounded to the nearest multiple
-    of ``2**-granularity``.  It is a pure function of ``(n, seed)``: the same
-    inputs give a bit-identical matrix, which is how two parties share it by
-    exchanging only the seed.  ``flatness_k`` is the bound checked by the
-    invariant suite: ``max_i (Rv)_i^2 <= (||v||^2 / n) * flatness_k``.  The
-    secure reference draws ``Rv`` with :func:`haar_rotate` instead; this
-    explicit matrix is the reference its law is tested against.
+    of ``2**-_ROTATION_GRID_BITS``.  It is a pure function of ``(n, seed)``:
+    the same inputs give a bit-identical matrix, which is how two parties
+    could share it by exchanging only the seed.  The secure reference draws
+    ``Rv`` with :func:`haar_rotate` instead; this explicit matrix is the
+    reference its law is tested against.
     """
 
-    def __init__(self, n: int, seed: int, flatness_k: int = 40,
-                 granularity: int = 20):
+    def __init__(self, n: int, seed: int):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
         self.seed = seed
-        self.flatness_k = flatness_k
-        self.granularity = granularity
         self._matrix = None
 
     def matrix(self) -> np.ndarray:
@@ -176,21 +173,10 @@ class RoundedRotation:
             g = rng.standard_normal((self.n, self.n))
             q, r = np.linalg.qr(g)
             q = q * np.sign(np.diag(r))
-            scale = float(1 << self.granularity)
+            scale = float(1 << _ROTATION_GRID_BITS)
             self._matrix = np.round(q * scale) / scale
         return self._matrix
-
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix()[i]
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(getattr(v, "counts", v), dtype=np.float64)
         return self.matrix() @ v
-
-
-def apply_rotation_coord(rot: RoundedRotation, v, i: int) -> float:
-    """Coordinate ``(Rv)_i`` of the rotated vector."""
-    if not 0 <= i < rot.n:
-        raise ValueError("coordinate out of range")
-    v = np.asarray(getattr(v, "counts", v), dtype=np.float64)
-    return float(rot.row(i) @ v)

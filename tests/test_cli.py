@@ -1,7 +1,11 @@
 """Experiment driver: schemas, determinism, skips, fixtures, instance files."""
 
+import csv
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -15,6 +19,7 @@ from disttest2p.cli import (
     fixture_from_text,
     fixture_to_text,
     main,
+    make_params,
     rows_to_csv,
     run_experiment,
 )
@@ -78,6 +83,18 @@ class TestRunExperiment:
         for name, cfg in goldens.items():
             golden = DATA / name
             assert rows_to_csv(run_experiment(cfg)) == golden.read_text(), name
+
+    def test_secure_bits_closed_form(self):
+        # each params class states its cell's secure bits without a row run
+        for name in ("golden_closeness_secure.csv", "golden_independence.csv"):
+            with open(DATA / name, newline="") as fh:
+                ok = [r for r in csv.DictReader(fh) if r["status"] == "ok"]
+            assert ok, name
+            for row in ok:
+                cell = {key: int(row[key]) for key in ("n", "m", "t", "k")}
+                params = make_params(row["protocol"],
+                                     {**cell, "eps": float(row["eps"])}, {})
+                assert params.secure_bits == int(row["secure_bits"]), name
 
     def test_geomean_of_equal_values_is_exact(self):
         # a secure cell meters the same bits on every row
@@ -149,6 +166,25 @@ class TestMain:
                      "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith(",".join(COLUMNS[:3]))
+
+    def test_run_timing(self, capsys):
+        # the t=10 cell is skipped; wall_ms is set on ok rows only
+        run = ["run", "--protocol", "closeness", "--n", "200", "--t", "10",
+               "274", "--trials", "2", "--seed", "3"]
+        tables = []
+        for timing in ([], ["--timing"]):
+            assert main(run + timing) == 0
+            tables.append(list(csv.DictReader(
+                capsys.readouterr().out.splitlines())))
+        untimed, timed = tables
+        assert {r["status"] for r in timed} == {"ok", "skipped", "summary"}
+        for row in timed:
+            if row["status"] == "ok":
+                assert float(row["wall_ms"]) >= 0
+            else:
+                assert row["wall_ms"] == ""
+        assert all(r["wall_ms"] == "" for r in untimed)
+        assert [{**r, "wall_ms": ""} for r in timed] == untimed
 
     def test_independence_cli(self, capsys):
         code = main(["independence", "--n", "20", "--m", "20", "--t", "8000",
@@ -261,6 +297,14 @@ class TestBadInput:
         err = self.refused(capsys, run + ["--out",
                                           str(tmp_path / "no-dir" / "rows.csv")])
         assert "no-dir" in err
+
+    def test_constants_file_not_utf8(self, capsys, tmp_path):
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_bytes(b"c_alpha,0.0625\n\xff\xfe\n")
+        err = self.refused(capsys, ["run", "--protocol", "closeness", "--n",
+                                    "200", "--t", "274", "--constants",
+                                    str(fixture)])
+        assert "fixture.csv" in err
 
     def test_removed_rotation_flatness(self, capsys):
         err = self.refused(capsys, ["run", "--protocol", "closeness-secure",
@@ -427,6 +471,7 @@ class TestCalibrate:
         ("closeness", "--eps", "0"), ("closeness", "--n", "-5"),
         ("closeness", "--n", "0"), ("closeness", "--eps", "nan"),
         ("closeness", "--eps", "3"), ("independence", "--k", "0"),
+        ("closeness", "--k", "4"),
     ])
     def test_bad_argument_refused(self, capsys, protocol, flag, value):
         argv = ["calibrate", "--protocol", protocol, "--n", "20", "--trials",
@@ -479,3 +524,15 @@ class TestCalibrate:
                  for row in run_experiment(cfg) if row.status == "summary"}
         assert abs(rates["same"] - recorded[0]) <= 0.05 + 1e-9
         assert abs(rates["far"] - recorded[1]) <= 0.05 + 1e-9
+
+
+def test_library_imports_only_numpy():
+    # pyproject declares numpy alone; the test extras must not leak into src/
+    code = ("import sys, disttest2p.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert {"numpy", "disttest2p"} <= set(out.split())
+    assert not {"scipy", "hypothesis", "pytest"} & set(out.split())

@@ -343,7 +343,7 @@ class TestSecureReference:
         r = rng(10)
         v = ct2p_secure_reference(sample(p, params.t, r),
                                   sample(p, params.t, r), params, 1)
-        assert v.transcript.modeled_secure_bits > 0
+        assert v.transcript.modeled_secure_bits == params.secure_bits > 0
         assert v.transcript.total_bits == 8 * (4 + 16)  # seed exchange only
 
     def test_votes_count_their_blocks(self, monkeypatch):

@@ -19,7 +19,6 @@ from disttest2p.dist import (
     IndexedSampleSet,
     OccurrenceVector,
     SplitMap,
-    cap,
     l1_distance,
     l2_norm_sq,
     poisson_sample,
@@ -314,27 +313,6 @@ class TestSplitSample:
         assert part.n == full.n == sm.total_letters
         assert np.array_equal(part.letters, full.letters[positions])
         assert r_part.random() == r_full.random()  # the same draws consumed
-
-
-class TestCap:
-    def test_componentwise_min(self):
-        assert list(cap(OccurrenceVector([5, 1, 0]), 2).counts) == [2, 1, 0]
-
-    def test_identity_when_level_large(self):
-        x = OccurrenceVector([5, 1, 0])
-        assert np.array_equal(cap(x, 9).counts, x.counts)
-
-    def test_zero_level(self):
-        assert list(cap(OccurrenceVector([5, 1, 0]), 0).counts) == [0, 0, 0]
-
-    def test_idempotent_and_monotone(self):
-        r = rng(5)
-        x = OccurrenceVector(r.integers(0, 30, 40))
-        for level in (0, 3, 10):
-            once = cap(x, level)
-            assert np.array_equal(cap(once, level).counts, once.counts)
-        low, high = cap(x, 2), cap(x, 7)
-        assert np.all(low.counts <= high.counts)
 
 
 class TestSplitOccurrenceMatrix:

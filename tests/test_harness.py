@@ -16,7 +16,6 @@ from disttest2p.hardness import GHDReductionParams
 from disttest2p.harness import (
     FRAME_BYTES,
     SIZE_LIMIT,
-    CircuitSpec,
     ConfigError,
     Decision,
     ProtocolError,
@@ -26,9 +25,9 @@ from disttest2p.harness import (
     Transcript,
     majority,
     mix64,
+    modeled_bits,
     polylog_charge,
     run_protocol,
-    secure_transcript,
     trusted_evaluate,
 )
 from disttest2p.independence import ITParams
@@ -119,9 +118,8 @@ class TestTranscript:
         assert tr.total_bits == 8 * (FRAME_BYTES + 10) + 8 * FRAME_BYTES
 
     def test_csv_dump(self):
-        tr = Transcript()
+        tr = Transcript(modeled_secure_bits=999)
         tr.record("alice", 4)
-        tr.record_secure(999)
         lines = tr.dump_csv().splitlines()
         assert lines[0] == f"0,alice,{8 * (FRAME_BYTES + 4)}"
         assert lines[-1] == f"total,{8 * (FRAME_BYTES + 4)},999"
@@ -212,10 +210,10 @@ class TestSharedRandomness:
 
 class TestTrustedEvaluate:
     def test_constant_function_cost(self):
-        spec = CircuitSpec(gate_count=3, rom_entries=2)
-        out, bits = trusted_evaluate(lambda ra, rb: 1, [0], [0], spec)
+        out, tr = trusted_evaluate(lambda ra, rb: 1, [0], [0],
+                                   modeled_bits(3, 2))
         assert out == 1
-        assert bits == spec.modeled_bits == 3 * polylog_charge(64, 2)
+        assert tr.modeled_secure_bits == 3 * polylog_charge(64, 2)
 
     def test_single_lookup_example(self):
         # one 64-bit word among 2^20 entries: 64 * 400 * C_OT modeled bits
@@ -228,12 +226,12 @@ class TestTrustedEvaluate:
             vals = [ra[i] for i in range(len(bits))]
             return int(sum(vals) * 2 > len(vals))
 
-        spec = CircuitSpec(gate_count=len(bits), rom_entries=len(bits))
-        out, _ = trusted_evaluate(bit_majority, bits, [], spec)
+        out, _ = trusted_evaluate(bit_majority, bits, [],
+                                  modeled_bits(len(bits), len(bits)))
         assert out == int(sum(bits) * 2 > len(bits))
 
     def test_secure_transcript(self):
-        tr = secure_transcript(999)
+        _, tr = trusted_evaluate(lambda ra, rb: None, [], [], 999)
         assert tr.messages == [("alice", FRAME_BYTES + 16)]
         assert (tr.total_bits, tr.modeled_secure_bits) == (160, 999)
 

@@ -484,6 +484,16 @@ class TestIT2P:
         v = it2p(a, b, params, 0)
         assert v.lambda_mean is not None and v.lambda_mean > 0
 
+    def test_charged_the_params_cost(self):
+        # IT2p sends the 16-byte seed and is charged its closed-form cost;
+        # the one-way variant is plaintext and charged none
+        params = minimal_params()
+        a, b = diagonal_joint(20, 20).sample_joint(params.t, rng(7))
+        tr = it2p(a, b, params, 0).transcript
+        assert (tr.total_bits, tr.modeled_secure_bits) == \
+            (8 * (4 + 16), params.secure_bits)
+        assert one_way_it2p(a, b, params, 0).transcript.modeled_secure_bits == 0
+
 
 class TestOneWay:
     def test_agreement_with_two_way(self):

@@ -30,7 +30,6 @@ from disttest2p.harness import Decision, ProtocolError
 from disttest2p.sketch import (
     L2Sketch,
     RoundedRotation,
-    apply_rotation_coord,
     collision_norm_estimate,
     estimate_distance_sq,
     l2_sketch,
@@ -464,13 +463,12 @@ class TestCollisionEstimate:
 class TestRoundedRotation:
     def test_zero_vector(self):
         rot = RoundedRotation(16, seed=3)
-        assert apply_rotation_coord(rot, np.zeros(16), 5) == 0.0
+        assert not rot.apply(np.zeros(16)).any()
 
     def test_deterministic_rows(self):
         a = RoundedRotation(32, seed=9)
         b = RoundedRotation(32, seed=9)
-        for i in (0, 7, 31):
-            assert np.array_equal(a.row(i), b.row(i))
+        assert np.array_equal(a.matrix(), b.matrix())
 
     def test_near_isometry(self):
         r = rng(6)
@@ -488,16 +486,3 @@ class TestRoundedRotation:
         for seed in range(100):
             rv = RoundedRotation(64, seed).apply(v)
             assert np.max(rv ** 2) <= bound
-
-    def test_coord_matches_full_apply(self):
-        r = rng(8)
-        v = r.integers(0, 5, 20)
-        rot = RoundedRotation(20, seed=11)
-        full = rot.apply(v)
-        for i in range(20):
-            assert apply_rotation_coord(rot, v, i) == pytest.approx(full[i])
-
-    def test_coordinate_bounds(self):
-        rot = RoundedRotation(8, seed=1)
-        with pytest.raises(ValueError):
-            apply_rotation_coord(rot, np.zeros(8), 8)
