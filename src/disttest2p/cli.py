@@ -326,6 +326,8 @@ def fixture_from_text(text: str) -> dict:
         name, comma, value = line.partition(",")
         if not comma:
             raise ConfigError(f"bad constants line {line!r}, expected NAME,VALUE")
+        if name in out:
+            raise ConfigError(f"constant {name!r} given twice in the constants file")
         out[name] = _float(value)
     return out
 
@@ -382,6 +384,8 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ConfigError(f"bad override {pair!r}, expected NAME=VALUE")
         name, value = pair.split("=", 1)
+        if name in out:
+            raise ConfigError(f"constant {name!r} given twice in --set")
         number = _float(value)
         out[name] = int(number) if number.is_integer() else number
     return out

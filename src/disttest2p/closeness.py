@@ -133,6 +133,9 @@ def far_instance(n: int, eps: float) -> Distribution:
     """A distribution at ell_1 distance >= eps from uniform (exactly eps when
     the paired construction applies: mass ``(1 +- eps)/n`` on letter pairs)."""
     check_eps(eps)
+    if eps > 2 * (1 - 1 / n):  # no law on n letters lies farther from uniform
+        raise ConfigError(f"eps={eps} is above 2(1-1/n)={2 * (1 - 1 / n):.4g}, "
+                          f"the largest distance from uniform on n={n} letters")
     if eps <= 1 and n % 2 == 0:
         probs = np.empty(n)
         probs[0::2] = (1.0 + eps) / n
@@ -217,8 +220,9 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         payload = yield Recv()
         s = _decode_multiset(payload, params.n, params.t)
         sm = split_map(s, params.n)
-        split = split_samples(alice_samples, sm, shared.stream("alice-split"))
-        a_s = OccurrenceVector.from_letters(split.letters, sm.total_letters)
+        a_s = np.bincount(split_samples(alice_samples.letters, sm,
+                                        shared.stream("alice-split")),
+                          minlength=sm.total_letters)
         norm_sq = collision_norm_estimate(a_s)
         yield Send(struct.pack("<d", norm_sq))
         sk = l2_sketch(a_s, params.alpha, params.sketch_delta, sketch_seed)
@@ -235,8 +239,9 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
         s = OccurrenceVector.from_letters(bob_samples.letters[picks], params.n)
         yield Send(_encode_multiset(s))
         sm = split_map(s, params.n)
-        split = split_samples(bob_samples, sm, shared.stream("bob-split"))
-        b_s = OccurrenceVector.from_letters(split.letters, sm.total_letters)
+        b_s = np.bincount(split_samples(bob_samples.letters, sm,
+                                        shared.stream("bob-split")),
+                          minlength=sm.total_letters)
         bob_norm_sq = collision_norm_estimate(b_s)
         alice_norm_sq = _decode_norm((yield Recv()))
         sketch_payload = yield Recv()

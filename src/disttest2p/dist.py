@@ -182,7 +182,9 @@ def poisson_sample(lam: float, rng: np.random.Generator) -> int:
     """One draw from Poisson(lam).
 
     Backed by the generator's exact sampler (inversion for small rates, a
-    transformed-rejection method above), valid for rates up to 1e9.
+    transformed-rejection method above).  numpy takes rates up to
+    ``2**63 - 10 * sqrt(2**63)``, about 9.22e18, and raises ``ValueError``
+    ("lam value too large") above.
     """
     if lam < 0:
         raise ValueError("rate must be nonnegative")
@@ -204,23 +206,21 @@ def split_distribution(p: Distribution, sm: SplitMap) -> Distribution:
     return Distribution(np.repeat(per_bucket, sm.bucket_counts))
 
 
-def split_samples(samples: IndexedSampleSet, sm: SplitMap,
-                  rng: np.random.Generator, positions=None) -> IndexedSampleSet:
-    """Recast each ground-alphabet draw as a draw from the split
-    distribution: a uniform bucket of its letter.
+def split_samples(letters: np.ndarray, sm: SplitMap, rng: np.random.Generator,
+                  positions=None) -> np.ndarray:
+    """Recast each draw (a sample set's letters) as a draw from the split
+    distribution, a uniform bucket of its letter: the split letters, int64.
 
     ``positions`` (an index array into the samples) recasts only those
     samples, in that order.  One uniform is still drawn per sample, so each
     returned letter is the full recast's letter at its position.
     """
-    if samples.n != sm.n:
-        raise ValueError("mismatched alphabets")
-    u, letters = rng.random(samples.t), samples.letters
+    u = rng.random(len(letters))
     if positions is not None:
         u, letters = u[positions], letters[positions]
     # rng.random() <= 1 - 2**-53, so j <= a - 1 for every a below 2**53
     j = np.floor(u * sm.bucket_counts[letters]).astype(np.int64)
-    return IndexedSampleSet(sm.offsets[letters] + j, sm.total_letters)
+    return sm.offsets[letters] + j
 
 
 @dataclass(frozen=True)

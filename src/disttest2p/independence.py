@@ -82,18 +82,17 @@ def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
     return int(rng.hypergeometric(ngood=alpha, nbad=n - alpha, nsample=beta))
 
 
-def indices_set_vector(samples: IndexedSampleSet, n: int) -> tuple:
-    """Per-letter sets of sample indices, the inverse of a sample set:
-    ``(order, boundaries)``, where ``order`` groups the indices by letter
-    (ascending within one) and letter ``j``'s set is
-    ``order[boundaries[j]:boundaries[j + 1]]``."""
-    if samples.t and samples.letters.max() >= n:
+def indices_set_vector(letters: np.ndarray, n: int) -> tuple:
+    """Per-letter sets of sample indices, the inverse of a sample set's
+    letters (each below ``n``): ``(order, boundaries)``, where ``order``
+    groups the indices by letter (ascending within one) and letter ``j``'s
+    set is ``order[boundaries[j]:boundaries[j + 1]]``."""
+    if letters.size and letters.max() >= n:
         raise ValueError("sample letter out of range")
     # The narrowest key type that holds the letters: numpy radix-sorts keys
     # of up to 16 bits, and a stable order does not depend on the algorithm.
-    keys = samples.letters.astype(np.min_scalar_type(n))
-    order = np.argsort(keys, kind="stable")
-    boundaries = np.searchsorted(samples.letters[order], np.arange(n + 1))
+    order = np.argsort(letters.astype(np.min_scalar_type(n)), kind="stable")
+    boundaries = np.searchsorted(letters[order], np.arange(n + 1))
     return order, boundaries
 
 
@@ -262,8 +261,10 @@ class Repetition:
         return self.pool.size < 4
 
 
-def _blocks(letters: np.ndarray, t_prime: int, count: int) -> list[np.ndarray]:
-    return [letters[i * t_prime:(i + 1) * t_prime] for i in range(count)]
+def _blocks(letters: np.ndarray, params: ITParams) -> np.ndarray:
+    """A party's letters as ``(votes, 3, t')`` blocks, three per repetition."""
+    tp, reps = params.t_prime, params.votes
+    return letters[:3 * reps * tp].reshape(reps, 3, tp)
 
 
 def _alice_pool(rep: int, split_block, block, params: ITParams,
@@ -280,8 +281,7 @@ def _alice_pool(rep: int, split_block, block, params: ITParams,
     n = params.n
     sm_a = split_map(OccurrenceVector.from_letters(
         split_block[:min(params.t_prime, n)], n), n)
-    a = split_samples(IndexedSampleSet(block, n), sm_a,
-                      shared.stream("alice-recast", rep))
+    a = split_samples(block, sm_a, shared.stream("alice-recast", rep))
     order, bounds = indices_set_vector(a, sm_a.total_letters)
     ell = min(params.ell_target, sm_a.total_letters)
     rng = shared.stream("oneway-universe", rep)
@@ -294,7 +294,7 @@ def _alice_pool(rep: int, split_block, block, params: ITParams,
     keep = np.zeros(sm_a.total_letters, bool)
     keep[live] = True
     pool = order[np.repeat(keep, np.diff(bounds))]
-    return sm_a, live, pool, a.letters[pool]
+    return sm_a, live, pool, a[pool]
 
 
 def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
@@ -320,8 +320,8 @@ def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
     tags = values & 3
     if size >= 2:
         chi = norm_estimates_agree(
-            collision_norm_estimate(OccurrenceVector(counts[tags == 0])),
-            collision_norm_estimate(OccurrenceVector(counts[tags == 1])), size)
+            collision_norm_estimate(counts[tags == 0]),
+            collision_norm_estimate(counts[tags == 1]), size)
     else:
         chi = True
     # ||X2 - Y2||^2 = sum x^2 + sum y^2 - 2 sum xy; a code held by both has
@@ -348,13 +348,10 @@ def _bob_vote(rep: int, split_block, bp_block, bq_block, pool, a_letters,
         return (), Decision.SAME
     m = params.m
     sm_b = split_map(OccurrenceVector.from_letters(split_block[:m], m), m)
-    b_p = split_samples(IndexedSampleSet(bp_block, m), sm_b,
-                        shared.stream("bob-recast-p", rep), pool)
-    b_q = split_samples(IndexedSampleSet(bq_block, m), sm_b,
-                        shared.stream("bob-recast-q", rep), pool)
+    b_p = split_samples(bp_block, sm_b, shared.stream("bob-recast-p", rep), pool)
+    b_q = split_samples(bq_block, sm_b, shared.stream("bob-recast-q", rep), pool)
     perm = shared.stream("oneway-bob", rep).permutation(pool.size)
-    return _pair_vote(perm, a_letters, b_p.letters, b_q.letters,
-                      sm_b.total_letters, lam, params)
+    return _pair_vote(perm, a_letters, b_p, b_q, sm_b.total_letters, lam, params)
 
 
 def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
@@ -370,13 +367,9 @@ def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
 
 def it2p_votes(alice: IndexedSampleSet, bob: IndexedSampleSet,
                params: ITParams, shared: SharedRandomness) -> list[Repetition]:
-    tp, reps = params.t_prime, params.votes
-    a_blocks = _blocks(alice.letters, tp, 3 * reps)
-    b_blocks = _blocks(bob.letters, tp, 3 * reps)
-    return [run_repetition(i, a_blocks[3 * i], a_blocks[3 * i + 1],
-                           b_blocks[3 * i], b_blocks[3 * i + 1],
-                           b_blocks[3 * i + 2], params, shared)
-            for i in range(reps)]
+    a, b = _blocks(alice.letters, params), _blocks(bob.letters, params)
+    return [run_repetition(i, a[i, 0], a[i, 1], *b[i], params, shared)
+            for i in range(params.votes)]
 
 
 def _check_inputs(alice, bob, params):
@@ -401,15 +394,20 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
                    lambda_mean=float(np.mean([r.lam for r in reps])))
 
 
+def _letter_field(alphabet: int) -> str:
+    """The one-way wire's letter type: ``<u2`` up to 2^16 letters, else ``<u4``."""
+    return "<u2" if alphabet <= 1 << 16 else "<u4"
+
+
 def _decode_oneway(payload: bytes, reps: int, t_prime: int,
                    alphabet: int) -> list:
     """Bob's parse of Alice's message into ``(lam, pool, letters)`` per repetition.
 
     A repetition is ``<u4 lam`` and, when ``lam > 0``, ``<u4 pool_size``, the
     pool's sample indices (``<u4``, each below ``t_prime``) and Alice's split
-    letters at them (``<u2``, each below ``alphabet``, the size of her split
-    alphabet).  The indices are distinct, and the letters take exactly
-    ``lam`` values: every live letter owns an index.
+    letters at them (each below ``alphabet``, the size of her split alphabet,
+    typed by :func:`_letter_field`).  The indices are distinct, and the
+    letters take exactly ``lam`` values: every live letter owns an index.
     """
     offset = 0
 
@@ -426,7 +424,8 @@ def _decode_oneway(payload: bytes, reps: int, t_prime: int,
     for _ in range(reps):
         lam = int(take(1, "<u4")[0])
         pool_size = int(take(1, "<u4")[0]) if lam else 0
-        pool, letters = take(pool_size, "<u4"), take(pool_size, "<u2")
+        pool = take(pool_size, "<u4")
+        letters = take(pool_size, _letter_field(alphabet))
         if pool.size and pool.max() >= t_prime:
             raise ProtocolError("pool index out of range")
         if letters.size and letters.max() >= alphabet:
@@ -448,30 +447,25 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
     _check_inputs(alice, bob, params)
     shared = SharedRandomness(seed)
     tp, reps = params.t_prime, params.votes
+    alphabet = params.n + min(tp, params.n)  # Alice's split alphabet size
 
     def alice_program():
-        a_blocks = _blocks(alice.letters, tp, 3 * reps)
+        a = _blocks(alice.letters, params)
         chunks = []
         for i in range(reps):
-            sm_a, live, pool, letters = _alice_pool(
-                i, a_blocks[3 * i], a_blocks[3 * i + 1], params, shared)
-            if sm_a.total_letters >= 1 << 16:
-                raise ConfigError("split alphabet too large for wire format")
+            _, live, pool, letters = _alice_pool(i, a[i, 0], a[i, 1], params, shared)
             chunks.append(struct.pack("<I", live.size))
             if live.size:
-                chunks.append(struct.pack("<I", pool.size))
-                chunks.append(np.ascontiguousarray(pool, dtype="<u4").tobytes())
-                chunks.append(np.ascontiguousarray(letters, dtype="<u2").tobytes())
+                chunks += [struct.pack("<I", pool.size), pool.astype("<u4").tobytes(),
+                           letters.astype(_letter_field(alphabet)).tobytes()]
         yield Send(b"".join(chunks))
         return None
 
     def bob_program():
         payload = yield Recv()
-        received = _decode_oneway(payload, reps, tp,
-                                  params.n + min(tp, params.n))
-        b_blocks = _blocks(bob.letters, tp, 3 * reps)
-        votes = [_bob_vote(i, *b_blocks[3 * i:3 * i + 3], pool, a_letters, lam,
-                           params, shared)[1]
+        received = _decode_oneway(payload, reps, tp, alphabet)
+        b = _blocks(bob.letters, params)
+        votes = [_bob_vote(i, *b[i], pool, a_letters, lam, params, shared)[1]
                  for i, (lam, pool, a_letters) in enumerate(received)]
         return (majority(votes, Decision.PRODUCT),
                 float(np.mean([lam for lam, _, _ in received])))

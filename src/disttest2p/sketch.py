@@ -117,18 +117,14 @@ def estimate_distance_sq(sa: L2Sketch, sb: L2Sketch) -> float:
     return float(np.median(sq.reshape(sa.groups, sa.group_size).sum(axis=1)))
 
 
-def collision_norm_estimate(samples) -> float:
-    """Unbiased collision estimate of ``||p||_2^2`` from a sample set.
+def collision_norm_estimate(counts) -> float:
+    """Unbiased collision estimate of ``||p||_2^2`` from a sample set's counts.
 
     Returns ``sum_i C(X_i, 2) / C(t, 2)``; needs at least two samples.  Takes
-    the samples' letters, or their :class:`OccurrenceVector` (zero counts add
-    no collisions).
+    an occurrence vector or a bare count array, with or without the zero
+    counts (they add no collisions).
     """
-    counts = getattr(samples, "counts", None)
-    if counts is None:
-        # Count only the letters present: pair codes range over n*m, far past t.
-        letters = np.asarray(getattr(samples, "letters", samples), dtype=np.int64)
-        counts = np.unique(letters, return_counts=True)[1]
+    counts = np.asarray(getattr(counts, "counts", counts), dtype=np.int64)
     t = int(counts.sum())
     if t < 2:
         raise ValueError("need at least two samples to count collisions")

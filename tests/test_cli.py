@@ -306,6 +306,39 @@ class TestBadInput:
                                     str(fixture)])
         assert "fixture.csv" in err
 
+    def test_constant_given_twice(self, capsys, tmp_path):
+        run = ["run", "--protocol", "closeness", "--n", "200", "--t", "274"]
+        err = self.refused(capsys, run + ["--set", "c_alpha=0.5",
+                                          "--set", "c_alpha=0.0625"])
+        assert "'c_alpha' given twice in --set" in err
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("c_alpha,0.5\nc_split,1.0\nc_alpha,0.0625\n")
+        err = self.refused(capsys, run + ["--constants", str(fixture)])
+        assert "'c_alpha' given twice in the constants file" in err
+
+    def test_set_overrides_the_constants_file(self, capsys, tmp_path):
+        run = ["run", "--protocol", "closeness", "--n", "200", "--t", "274"]
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("c_alpha,0.5\nc_split,1.0\n")
+        assert main(run + ["--set", "c_alpha=0.0625"]) == 0
+        want = capsys.readouterr().out
+        assert main(run + ["--constants", str(fixture),
+                           "--set", "c_alpha=0.0625"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_eps_beyond_the_farthest_law(self, capsys):
+        # no law on 3 letters is 1.5 from uniform: the far rows are skipped
+        # with the reason, and the closeness subcommand refuses the cell
+        err = self.refused(capsys, ["closeness", "--n", "3", "--t", "100",
+                                    "--eps", "1.5"])
+        assert "2(1-1/n)" in err
+        assert main(["run", "--protocol", "closeness", "--n", "3", "--t", "100",
+                     "--eps", "1.5"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["family"], r["status"]) for r in rows[:2]] == \
+            [("same", "ok"), ("far", "skipped")]
+        assert "2(1-1/n)" in rows[1]["reason"]
+
     def test_removed_rotation_flatness(self, capsys):
         err = self.refused(capsys, ["run", "--protocol", "closeness-secure",
                                     "--n", "200", "--t", "1095", "--k", "4",
@@ -435,11 +468,11 @@ class TestBadInput:
 
 def _refuse_at_run_time(monkeypatch, runner):
     """Rebind a tester so every row of a valid cell is skipped when it runs,
-    as the one-way tester's wire-format limit does at large split alphabets."""
+    as a refusal raised while running (GHD's letter overflow) would."""
     import disttest2p.cli as cli_module
 
     def refuse(*args):
-        raise ConfigError("split alphabet too large for wire format")
+        raise ConfigError("refused while running")
     monkeypatch.setattr(cli_module, runner, refuse)
 
 
@@ -451,7 +484,7 @@ class TestNoOkRows:
                                trials=2, seed=1)
         rows = list(run_experiment(cfg))
         assert [r.status for r in rows] == ["skipped"] * 4 + ["summary"] * 2
-        assert all("wire format" in r.reason for r in rows[:4])
+        assert all(r.reason == "refused while running" for r in rows[:4])
         for row in rows[4:]:
             assert (row.success, row.plaintext_bits, row.secure_bits) == \
                 ("", "", "")

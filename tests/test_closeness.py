@@ -106,8 +106,19 @@ class TestFarInstance:
             assert l1_distance(uniform_distribution(200), q) == pytest.approx(eps)
 
     def test_large_eps_at_least_eps(self):
-        q = far_instance(200, 1.5)
-        assert l1_distance(uniform_distribution(200), q) >= 1.5
+        for n in (*range(2, 13), 200):
+            for eps in (1.1, 1.25, 1.5, 1.75, 1.9, 1.99):
+                if eps <= 2 * (1 - 1 / n):
+                    q = far_instance(n, eps)
+                    # float sums fall a few ulps short where it is exactly eps
+                    assert l1_distance(uniform_distribution(n), q) >= eps - 1e-12
+
+    @pytest.mark.parametrize("n, eps", [(1, 0.5), (2, 1.01), (3, 1.5),
+                                        (5, 1.9), (200, 2.0)])
+    def test_eps_beyond_the_farthest_law_refused(self, n, eps):
+        # no law on n letters lies farther than 2(1 - 1/n) from uniform
+        with pytest.raises(ConfigError, match=r"2\(1-1/n\)"):
+            far_instance(n, eps)
 
 
 class TestCT2pInsecure:

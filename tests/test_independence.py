@@ -109,30 +109,30 @@ class TestUSISample:
         assert pvalue > 0.01
 
 
-def index_sets(samples, n):
+def index_sets(letters, n):
     """Letter j's sample indices, for each j, from indices_set_vector."""
-    order, boundaries = indices_set_vector(samples, n)
+    order, boundaries = indices_set_vector(np.asarray(letters, dtype=np.int64), n)
     assert boundaries.size == n + 1
     return [order[boundaries[j]:boundaries[j + 1]] for j in range(n)]
 
 
 class TestIndicesSetVector:
     def test_direct_inversion(self):
-        sets = index_sets(IndexedSampleSet(np.array([1, 0, 1]), 2), 2)
+        sets = index_sets([1, 0, 1], 2)
         assert list(sets[0]) == [1]
         assert list(sets[1]) == [0, 2]
 
     def test_empty(self):
-        sets = index_sets(IndexedSampleSet(np.array([], dtype=np.int64), 3), 3)
+        sets = index_sets([], 3)
         assert all(s.size == 0 for s in sets)
 
     def test_degenerate_single_letter(self):
-        sets = index_sets(IndexedSampleSet(np.zeros(7, dtype=np.int64), 2), 2)
+        sets = index_sets(np.zeros(7, dtype=np.int64), 2)
         assert sets[0].size == 7 and sets[1].size == 0
 
     def test_partition_property(self):
         r = rng(3)
-        sets = index_sets(IndexedSampleSet(r.integers(0, 9, 200), 9), 9)
+        sets = index_sets(r.integers(0, 9, 200), 9)
         seen = np.sort(np.concatenate(sets))
         assert np.array_equal(seen, np.arange(200))
 
@@ -142,7 +142,7 @@ class TestIndicesSetVector:
         # every key width (8, 16 and 32 bits) against the per-letter scan
         letters = np.array(data.draw(st.lists(st.integers(0, n - 1),
                                               max_size=300)), dtype=np.int64)
-        order, boundaries = indices_set_vector(IndexedSampleSet(letters, n), n)
+        order, boundaries = indices_set_vector(letters, n)
         assert boundaries.size == n + 1
         for j in (range(n) if n < 300 else np.unique(np.append(letters, 0))):
             assert np.array_equal(order[boundaries[j]:boundaries[j + 1]],
@@ -337,7 +337,8 @@ def reference_pair_statistics(perm, a, bp, bq, m_b: int, size: int):
     x2, y2 = a[j_p] * m_b + bp[j_p], a[j_q] * m_b + bq[j_q]
     norms = None
     if size >= 2:
-        norms = (collision_norm_estimate(x1), collision_norm_estimate(y1))
+        norms = tuple(collision_norm_estimate(np.unique(codes, return_counts=True)[1])
+                      for codes in (x1, y1))
     top = int(max(x2.max(), y2.max())) + 1
     delta = ((np.bincount(x2, minlength=top) -
               np.bincount(y2, minlength=top)) ** 2).sum()
@@ -591,6 +592,27 @@ class TestOneWayWire:
         assert {r.sm_a.total_letters for r in reps} == {n + min(tp, n)}
         top = oneway_rep(1, [0], [n + min(tp, n) - 1])
         assert _decode_oneway(top, 1, tp, n + min(tp, n))[0][0] == 1
+
+    def test_split_alphabet_of_2_16_letters_or_more(self):
+        # n = 33000 and t' >= n: Alice's split alphabet has 66000 letters,
+        # so her letters go out as <u4, and the row runs instead of skipping
+        params = minimal_params(n=33000, m=2, k=1)
+        tp = params.t_prime
+        assert params.n + min(tp, params.n) == 66000
+        top = struct.pack("<IIII", 1, 1, 0, 65999)  # lam, pool size, index, letter
+        assert _decode_oneway(top, 1, tp, 66000)[0][2].tolist() == [65999]
+        with pytest.raises(ProtocolError):  # a <u2 letter field is truncated
+            _decode_oneway(oneway_rep(1, [0], [65535]), 1, tp, 66000)
+        for joint in (diagonal_joint(33000, 2),
+                      product_joint(uniform_distribution(33000),
+                                    uniform_distribution(2))):
+            a, b = joint.sample_joint(params.t, rng(8))
+            v = one_way_it2p(a, b, params, 8)
+            (rep,) = it2p_votes(a, b, params, SharedRandomness(8))
+            assert (v.decision, v.lambda_mean) == \
+                (it2p(a, b, params, 8).decision, float(rep.lam)) and rep.lam
+            # one frame: lam and pool size, then 4 bytes per index and letter
+            assert v.transcript.messages == [("alice", 4 + 8 + 8 * rep.pool.size)]
 
     @given(st.lists(st.one_of(
                st.binary(max_size=24),
