@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,12 +107,19 @@ class TestFarInstance:
             assert l1_distance(uniform_distribution(200), q) == pytest.approx(eps)
 
     def test_large_eps_at_least_eps(self):
-        for n in (*range(2, 13), 200):
-            for eps in (1.1, 1.25, 1.5, 1.75, 1.9, 1.99):
-                if eps <= 2 * (1 - 1 / n):
-                    q = far_instance(n, eps)
-                    # float sums fall a few ulps short where it is exactly eps
-                    assert l1_distance(uniform_distribution(n), q) >= eps - 1e-12
+        q = far_instance(200, 1.5)
+        assert l1_distance(uniform_distribution(200), q) >= 1.5
+
+    @pytest.mark.parametrize("n, eps", [
+        (n, eps) for n in (*range(2, 13), 200)
+        for eps in (1.1, 1.25, 1.5, 1.75, 1.9, 1.99) if eps <= 2 * (1 - 1 / n)])
+    def test_large_eps_grid_at_least_eps(self, n, eps):
+        # above eps = 1 the law is uniform on its first s letters, at exact
+        # distance 2(1 - s/n) from uniform; compare that with eps exactly
+        probs = far_instance(n, eps).probs
+        s = np.count_nonzero(probs)
+        assert np.array_equal(probs, np.r_[np.full(s, 1.0 / s), np.zeros(n - s)])
+        assert 2 * (1 - Fraction(s, n)) >= Fraction(eps)
 
     @pytest.mark.parametrize("n, eps", [(1, 0.5), (2, 1.01), (3, 1.5),
                                         (5, 1.9), (200, 2.0)])
