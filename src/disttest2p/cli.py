@@ -242,12 +242,12 @@ def _geomean(values) -> str:
     return f"{lo * math.exp(mean_log):.1f}"
 
 
-def rows_to_csv(rows) -> str:
+def rows_to_csv(rows, columns=COLUMNS, header=None) -> str:
+    """CSV of the rows' ``columns``, headed by ``header`` (default: their names)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow([getattr(row, c) for c in COLUMNS])
+    writer.writerow(columns if header is None else header)
+    writer.writerows([getattr(row, c) for c in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -281,8 +281,8 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
         raise ConfigError(f"no calibration defined for {protocol!r}")
     probe = dict(n=n, m=n, t=2 ** 62, eps=eps, k=k)
     make_params(protocol, probe, {})
-    baseline = CTParams.big_c * sample_floor(n, eps)
-    if baseline > n ** 2:
+    baseline = CTParams.big_c * sample_floor(n, eps)  # closeness's bound
+    if protocol == "closeness" and baseline > n ** 2:
         raise ConfigError(
             f"alphabet n={n} too small to calibrate: the precondition sample "
             f"bound {baseline:.0f} exceeds the domain scale n^2={n ** 2}")
@@ -310,26 +310,32 @@ def fixture_to_text(constants: dict) -> str:
     return "".join(f"{name},{value!r}\n" for name, value in sorted(constants.items()))
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{text!r} is not a number") from None
+def _constants(pairs, source: str) -> dict:
+    """``--set`` and ``--constants`` alike: ``(name, value text)`` pairs read
+    as floats, refusing a name given twice or a value that is not a number."""
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ConfigError(f"constant {name!r} given twice {source}")
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"{value!r} is not a number") from None
+    return out
+
+
+def _split(item: str, sep: str, what: str) -> tuple:
+    name, found, value = item.partition(sep)
+    if not found:
+        raise ConfigError(f"bad {what} {item!r}, expected NAME{sep}VALUE")
+    return name, value
 
 
 def fixture_from_text(text: str) -> dict:
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, comma, value = line.partition(",")
-        if not comma:
-            raise ConfigError(f"bad constants line {line!r}, expected NAME,VALUE")
-        if name in out:
-            raise ConfigError(f"constant {name!r} given twice in the constants file")
-        out[name] = _float(value)
-    return out
+    lines = [line.strip() for line in text.splitlines()]
+    return _constants((_split(line, ",", "constants line") for line in lines
+                       if line and not line.startswith("#")),
+                      "in the constants file")
 
 
 def _read_constants(path: str) -> dict:
@@ -379,16 +385,7 @@ def write_hard_instance(path: str, kind: str, case: str, n: int, t: int,
 # argparse front end
 
 def _parse_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"bad override {pair!r}, expected NAME=VALUE")
-        name, value = pair.split("=", 1)
-        if name in out:
-            raise ConfigError(f"constant {name!r} given twice in --set")
-        number = _float(value)
-        out[name] = int(number) if number.is_integer() else number
-    return out
+    return _constants((_split(pair, "=", "override") for pair in pairs), "in --set")
 
 
 def _m_k_grids(protocol: str, m, k, default_k: int) -> dict:
@@ -406,18 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="disttest2p",
         description="Two-party distribution testing experiments")
     subs = parser.add_subparsers(dest="command", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    sets = argparse.ArgumentParser(add_help=False)
+    sets.add_argument("--set", action="append", default=[],
+                      metavar="NAME=VALUE", help="override a protocol constant")
 
-    trials = argparse.ArgumentParser(add_help=False)  # one cell, per-trial CSV
+    trials = argparse.ArgumentParser(add_help=False, parents=[seed, sets])
     trials.add_argument("--n", type=int, required=True)
     trials.add_argument("--t", type=int, required=True)
     trials.add_argument("--eps", type=float, default=1.0)
     trials.add_argument("--k", type=int, default=None,
                         help="security/repetition parameter (default 2)")
-    trials.add_argument("--seed", type=int, default=0)
     trials.add_argument("--trials", type=int, default=20)
     trials.add_argument("--out", type=str, default="-")
-    trials.add_argument("--set", action="append", default=[],
-                        metavar="NAME=VALUE", help="override a protocol constant")
 
     close = subs.add_parser("closeness", parents=[trials],
                             help="closeness tester trials")
@@ -427,17 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     indep.add_argument("--m", type=int, required=True)
     indep.add_argument("--one-way", action="store_true")
 
-    hard = subs.add_parser("hardgen", help="emit a hard-instance file")
+    hard = subs.add_parser("hardgen", parents=[seed, sets],
+                           help="emit a hard-instance file")
     hard.add_argument("--kind", choices=("ghd", "bhh"), default="ghd")
     hard.add_argument("--case", choices=("SAME", "FAR", "PRODUCT"), required=True,
                       help="ghd: SAME or FAR; bhh: PRODUCT or FAR")
     hard.add_argument("--n", type=int, required=True)
     hard.add_argument("--t", type=int, required=True)
-    hard.add_argument("--seed", type=int, default=0)
     hard.add_argument("--out", type=str, required=True)
-    hard.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
 
-    run = subs.add_parser("run", help="grid sweep with CSV report")
+    run = subs.add_parser("run", parents=[seed, sets],
+                          help="grid sweep with CSV report")
     run.add_argument("--protocol", choices=PROTOCOLS, required=True)
     run.add_argument("--n", type=int, nargs="+", required=True)
     run.add_argument("--m", type=int, nargs="+", default=None)
@@ -445,20 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eps", type=float, nargs="+", default=[1.0])
     run.add_argument("--k", type=int, nargs="+", default=None)
     run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", type=str, default="-")
     run.add_argument("--constants", type=str, default=None,
                      help="fixture file of constant overrides")
-    run.add_argument("--set", action="append", default=[], metavar="NAME=VALUE")
     run.add_argument("--timing", action="store_true")
 
-    cal = subs.add_parser("calibrate", help="grid-search protocol constants")
+    cal = subs.add_parser("calibrate", parents=[seed],
+                          help="grid-search protocol constants")
     cal.add_argument("--protocol", choices=tuple(_GRIDS), required=True)
     cal.add_argument("--n", type=int, required=True)
     cal.add_argument("--eps", type=float, default=1.0)
     cal.add_argument("--k", type=int, default=None,
                      help="independence only (default 2)")
-    cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--trials", type=int, default=60)
     cal.add_argument("--out", type=str, default="-")
     return parser
@@ -483,15 +480,12 @@ def _simple_trials(args, protocol: str, columns: list) -> str:
     cfg = ExperimentConfig(protocol=protocol, ns=(args.n,), ts=(args.t,),
                            epss=(args.eps,), trials=args.trials, seed=args.seed,
                            overrides=_parse_overrides(args.set), **grids)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance" if c == "family" else c for c in columns])
-    for row in run_experiment(cfg):
-        if row.status == "skipped":
-            raise ConfigError(row.reason)
-        if row.status == "ok":
-            writer.writerow([getattr(row, c) for c in columns])
-    return buf.getvalue()
+    rows = list(run_experiment(cfg))
+    skipped = [row.reason for row in rows if row.status == "skipped"]
+    if skipped:
+        raise ConfigError(skipped[0])
+    return rows_to_csv([row for row in rows if row.status == "ok"], columns,
+                       ["instance" if c == "family" else c for c in columns])
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,9 @@
 Everything here works over a finite alphabet whose letters are the integers
 ``0 .. n-1``.  Probabilities are float64, counts are int64; every count
 vector, the split multiset S included, is an :class:`OccurrenceVector`.  The
-container types are frozen and hold read-only views of their arrays, so they
-can be shared freely between concurrent trials; random generators are never
-stored inside them.  A view shares memory with the array it was built from
+container types are frozen and hold read-only views of their arrays, so that
+a container cannot change under a tester; random generators are never stored
+inside them.  A view shares memory with the array it was built from
 and leaves that array writeable: a caller who goes on to write to it changes
 the container too.
 """

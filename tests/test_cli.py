@@ -15,6 +15,7 @@ from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
     _geomean,
+    _parse_overrides,
     calibrate,
     fixture_from_text,
     fixture_to_text,
@@ -133,6 +134,12 @@ class TestFixtures:
         assert parsed == {"c_alpha": 0.0625}
 
 
+HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]
+GHD_CONSTANTS = ["--set", "m=32", "--set", "beta=8", "--set", "l_big=62"]
+SECURE = ["--n", "200", "--t", "1095", "--secure", "--k", "4"]
+INDEPENDENCE = ["--n", "20", "--m", "20", "--t", "8000"]
+
+
 class TestMain:
     def test_closeness_csv(self, capsys):
         code = main(["closeness", "--n", "200", "--t", "274", "--trials", "2",
@@ -221,6 +228,41 @@ class TestMain:
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_set_and_constants_file_read_alike(self, tmp_path):
+        # both read floats: hardgen's whole-number m and l_big come out the same
+        assert repr(_parse_overrides(["m=32"])) == repr(
+            fixture_from_text("m,32\n")) == "{'m': 32.0}"
+        run = ["run", "--protocol", "hardgen", "--n", "2000", "--t", "62"]
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("m,32\nbeta,8\nl_big,62\n")
+        outs = [tmp_path / "set.csv", tmp_path / "file.csv"]
+        assert main(run + GHD_CONSTANTS + ["--out", str(outs[0])]) == 0
+        assert main(run + ["--constants", str(fixture), "--out", str(outs[1])]) == 0
+        assert ",ok," in outs[0].read_text()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("trials_argv, protocol, grid", [
+        (["closeness", "--n", "200", "--t", "274"], "closeness",
+         ["--n", "200", "--t", "274"]),
+        (["closeness", *SECURE], "closeness-secure",
+         ["--n", "200", "--t", "1095", "--k", "4"]),
+        (["independence", *INDEPENDENCE, "--k", "2"], "independence",
+         [*INDEPENDENCE, "--k", "2"]),
+        (["independence", *INDEPENDENCE, "--k", "2", "--one-way"],
+         "independence-oneway", [*INDEPENDENCE, "--k", "2"]),
+    ])
+    def test_per_trial_csv_is_the_ok_rows_of_run(self, capsys, trials_argv,
+                                                 protocol, grid):
+        common = ["--trials", "2", "--seed", "5"]
+        assert main(trials_argv + common) == 0
+        header, *trials = csv.reader(capsys.readouterr().out.splitlines())
+        assert main(["run", "--protocol", protocol, *grid, *common]) == 0
+        rows = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert header[:2] == ["trial", "instance"]
+        columns = ["trial", "family", *header[2:]]
+        assert trials == [[row[c] for c in columns] for row in rows
+                          if row["status"] == "ok"]
+
 
 def readme_cli_commands() -> list:
     """Arguments of each ``disttest2p ...`` line in README's CLI block."""
@@ -242,12 +284,6 @@ class TestReadme:
             else:
                 args += ["--out", str(tmp_path / f"stdout{i}.csv")]
             assert main(args) == 0, shlex.join(args)
-
-
-HARDGEN = ["hardgen", "--n", "2000", "--t", "62", "--seed", "3"]
-GHD_CONSTANTS = ["--set", "m=32", "--set", "beta=8", "--set", "l_big=62"]
-SECURE = ["--n", "200", "--t", "1095", "--secure", "--k", "4"]
-INDEPENDENCE = ["--n", "20", "--m", "20", "--t", "8000"]
 
 
 class TestBadInput:
@@ -499,6 +535,14 @@ class TestCalibrate:
         code = main(["calibrate", "--protocol", "closeness", "--n", "2",
                      "--trials", "4"])
         assert code == 2
+
+    def test_small_alphabet_rule_is_closeness_only(self, capsys):
+        # closeness's sample bound 8*max(n^(2/3), sqrt(n)) = 17 exceeds n^2 = 9,
+        # but independence's own precondition is what bounds its t
+        code = main(["calibrate", "--protocol", "independence", "--n", "3",
+                     "--trials", "2"])
+        assert code in (0, 3)
+        assert "too small to calibrate" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("protocol, flag, value", [
         ("closeness", "--eps", "0"), ("closeness", "--n", "-5"),
