@@ -40,7 +40,14 @@ from .hardness import (
     ghd_generate_inputs,
     ghd_reduce,
 )
-from .independence import ITParams, diagonal_joint, it2p, one_way_it2p, product_joint
+from .independence import (
+    ITParams,
+    diagonal_distance,
+    diagonal_joint,
+    it2p,
+    one_way_it2p,
+    product_joint,
+)
 
 _EXPECTED = {"same": Decision.SAME, "far": Decision.FAR,
              "product": Decision.PRODUCT}
@@ -73,9 +80,16 @@ def _closeness_samples(cell, family, params, rng):
 
 def _joint_samples(cell, family, params, rng):
     n, m = cell["n"], cell["m"]
-    joint = (product_joint(dist.uniform_distribution(n),
-                           dist.uniform_distribution(m))
-             if family == "product" else diagonal_joint(n, m))
+    if family == "product":
+        joint = product_joint(dist.uniform_distribution(n),
+                              dist.uniform_distribution(m))
+    else:
+        bound = diagonal_distance(n, m)
+        if cell["eps"] > bound:
+            raise ConfigError(f"eps={cell['eps']} is above {bound:.4g}, the "
+                              f"distance of the far instance from product at "
+                              f"n={n}, m={m}")
+        joint = diagonal_joint(n, m)
     return joint.sample_joint(cell["t"], rng)
 
 

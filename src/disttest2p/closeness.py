@@ -279,34 +279,42 @@ def split_occurrences_from_matrix(matrix: SplitOccurrenceMatrix,
                            for i in range(len(bucket_counts))])
 
 
-def capped_split_adjustment(a: OccurrenceVector, b: OccurrenceVector,
-                            s: OccurrenceVector, level: int,
+def capped_split_adjustment(a, b, s, level: int,
                             a_matrix: SplitOccurrenceMatrix,
-                            b_matrix: SplitOccurrenceMatrix) -> float:
-    """Exact ``||A_S - B_S||^2 - ||A' - B'||^2`` via split-matrix lookups.
+                            b_matrix: SplitOccurrenceMatrix):
+    """Exact ``||A_S - B_S||^2 - ||A' - B'||^2`` per vote, via split-matrix
+    lookups.
 
-    Only letters in ``M = {i : i in S or A_i > L or B_i > L}`` can contribute,
-    where ``s`` holds S, both parties' split sets; everywhere else the capped
-    difference equals the unsplit one.  So only the members' counts are
-    capped, and their split-matrix rows are read one bucket count at a time.
-    The split matrices are the two parties' recasts, with at least
-    ``1 + max(s)`` buckets per letter.
+    ``a``, ``b`` and ``s`` are count arrays (or occurrence vectors) of shape
+    ``(votes, n)`` or ``(n,)``: per vote, Alice's samples A, Bob's samples B
+    and S, both parties' split sets.  Only letters in
+    ``M = {i : i in S or A_i > L or B_i > L}`` can contribute; everywhere
+    else the capped difference equals the unsplit one.  So only the members'
+    counts are capped, and their split-matrix rows are read one bucket count
+    at a time across all votes.  The split matrices are the two parties'
+    recasts of the stacked counts, vote ``j``'s letter ``i`` at row
+    ``j n + i``, with at least ``1 + max(s)`` buckets per row.  Returns one
+    delta_1 per vote, a scalar for 1-D counts.
     """
     if level < 1:
         raise ValueError("cap threshold must be at least 1")
-    letters = np.flatnonzero((s.counts > 0) |
-                             (np.maximum(a.counts, b.counts) > level))
-    buckets = 1 + s.counts[letters]
-    capped = np.minimum(a.counts[letters], level) - \
-        np.minimum(b.counts[letters], level)
-    # Every term is an integer below 2**53, so summing in int64 per bucket
-    # count gives the same value as a float sum in any order.
-    total = -int(capped @ capped)
+    a, b, s = (np.asarray(getattr(x, "counts", x)) for x in (a, b, s))
+    shape, n = s.shape[:-1], s.shape[-1]
+    a, b, s = a.ravel(), b.ravel(), s.ravel()
+    members = np.flatnonzero((s > 0) | (np.maximum(a, b) > level))
+    vote = members // n
+    buckets = 1 + s[members]
+    capped = np.minimum(a[members], level) - np.minimum(b[members], level)
+    # A vote's terms sum to at most (|A| + |B|)^2, an integer below 2**53
+    # while |A| + |B| < 9e7, so bincount's float sums are exact in any order.
+    votes = math.prod(shape)
+    total = -np.bincount(vote, weights=capped * capped, minlength=votes)
     for m in np.flatnonzero(np.bincount(buckets)).tolist():
-        group = letters[buckets == m]
-        diff = (a_matrix.row(group, m) - b_matrix.row(group, m)).ravel()
-        total += int(diff @ diff)
-    return float(total)
+        pick = buckets == m
+        diff = a_matrix.row(members[pick], m) - b_matrix.row(members[pick], m)
+        total += np.bincount(vote[pick], weights=(diff * diff).sum(axis=1),
+                             minlength=votes)
+    return total.reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -372,22 +380,23 @@ class SecureCTParams:
             2 * self.votes * self.n * self.t_prime ** 2)
 
 
-def bernoulli_hits(biases: np.ndarray, trials: int,
-                   rng: np.random.Generator) -> int | None:
+def bernoulli_hits(biases: np.ndarray, trials: int, rng: np.random.Generator):
     """Hits of ``trials`` draws "uniform index i, then a coin of bias
-    ``biases[i]``", or None if some draw lands on a bias above 1.
+    ``biases[i]``" per vector along the last axis, or NaN where some draw
+    lands on a bias above 1.
 
     Exact in law without the loop: no draw lands on one of the ``c`` clamped
     indices with probability ``((n - c) / n) ** trials``, and given that, each
     draw is a uniform unclamped index followed by its coin, so the hits are
-    Binomial(trials, mean unclamped bias).
+    Binomial(trials, mean unclamped bias).  One uniform and one binomial draw
+    per vector; a 1-D ``biases`` gives a scalar.
     """
-    n = biases.size
+    n = biases.shape[-1]
     unclamped = biases <= 1.0
-    c = n - np.count_nonzero(unclamped)
-    if c == n or (c and rng.random() >= ((n - c) / n) ** trials):
-        return None
-    return int(rng.binomial(trials, float(biases[unclamped].mean())))
+    free = np.count_nonzero(unclamped, axis=-1)
+    clamped = rng.random(np.shape(free)) >= (free / n) ** trials
+    mean = np.where(unclamped, biases, 0.0).sum(axis=-1) / np.maximum(free, 1)
+    return np.where(clamped, np.nan, rng.binomial(trials, mean))[()]
 
 
 @dataclass(frozen=True)
@@ -409,7 +418,10 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
     ``splitset_size`` of each make up S, and the last ``t' // 2`` are the
     party's samples A (Alice) or B (Bob).  All the votes' S, A and B are
     counted by one ``bincount`` over the keys ``(3j + r) n + letter``, with
-    ``r`` = 0, 1, 2 for S, A, B.
+    ``r`` = 0, 1, 2 for S, A, B.  The votes are then evaluated together as
+    ``(votes, n)`` arrays, each party's recasts, the rotations and the
+    Bernoulli trials drawn from one stream per row; the rotations and trials
+    run only for the votes with positive headroom.
     """
     n, tp, level, reps = params.n, params.t_prime, params.cap_level, params.votes
     half, size, trials = tp // 2, params.splitset_size, params.bernoulli_trials
@@ -425,34 +437,34 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
     role = np.repeat([0, 1, 2], [2 * size, half, half])
     keys = letters + n * (3 * np.arange(reps)[:, None] + role)
     counts = np.bincount(keys.ravel(), minlength=3 * reps * n).reshape(reps, 3, n)
+    s, a, b = counts[:, 0], counts[:, 1], counts[:, 2]
+
+    max_buckets = 1 + int(s.max())
+    a_matrix = split_occurrence_matrix(OccurrenceVector(a.ravel()), max_buckets,
+                                       shared.stream("alice-split"))
+    b_matrix = split_occurrence_matrix(OccurrenceVector(b.ravel()), max_buckets,
+                                       shared.stream("bob-split"))
+    delta1 = capped_split_adjustment(a, b, s, level, a_matrix, b_matrix)
+    tau = threshold_tau(n + 2 * size, half, params.eps)  # |S| = 2 size
+    headroom = 2.0 * (tau - delta1)
+
+    live = np.flatnonzero(headroom > 0)
+    capped = np.minimum(a[live], level) - np.minimum(b[live], level)
+    rotated = haar_rotate(capped, shared.stream("rotation"))
+    biases = n * rotated ** 2 / (headroom[live, None] * reps)
+    hits = np.full(reps, np.nan)
+    hits[live] = bernoulli_hits(biases, trials, shared.stream("bernoulli"))
+    delta2 = headroom * reps / trials * hits
 
     votes = []
-    for j in range(reps):
-        s, a, b = (OccurrenceVector(c) for c in counts[j])
-        max_buckets = 1 + int(s.counts.max())
-        a_matrix = split_occurrence_matrix(a, max_buckets,
-                                           shared.stream("alice-split", j))
-        b_matrix = split_occurrence_matrix(b, max_buckets,
-                                           shared.stream("bob-split", j))
-        delta1 = capped_split_adjustment(a, b, s, level,
-                                         a_matrix=a_matrix, b_matrix=b_matrix)
-
-        tau = threshold_tau(n + 2 * size, half, params.eps)  # |S| = 2 size
-        headroom = 2.0 * (tau - delta1)
-        if headroom <= 0:
-            votes.append(SetVote(delta1, 0.0, tau, headroom, False, Decision.FAR))
-            continue
-
-        capped = np.minimum(a.counts, level) - np.minimum(b.counts, level)
-        rotated = haar_rotate(capped, shared.stream("rotation", j))
-        biases = n * rotated ** 2 / (headroom * reps)
-        hits = bernoulli_hits(biases, trials, shared.stream("bernoulli", j))
-        if hits is None:
-            votes.append(SetVote(delta1, 0.0, tau, headroom, True, Decision.FAR))
-            continue
-        delta2 = headroom * reps / trials * hits
-        vote = Decision.FAR if delta1 + delta2 > tau else Decision.SAME
-        votes.append(SetVote(delta1, delta2, tau, headroom, False, vote))
+    for d1, d2, room in zip(delta1.tolist(), delta2.tolist(), headroom.tolist()):
+        if room <= 0:
+            votes.append(SetVote(d1, 0.0, tau, room, False, Decision.FAR))
+        elif math.isnan(d2):
+            votes.append(SetVote(d1, 0.0, tau, room, True, Decision.FAR))
+        else:
+            vote = Decision.FAR if d1 + d2 > tau else Decision.SAME
+            votes.append(SetVote(d1, d2, tau, room, False, vote))
     return votes
 
 

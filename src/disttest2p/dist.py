@@ -7,7 +7,9 @@ container types are frozen and hold read-only views of their arrays, so that
 a container cannot change under a tester; random generators are never stored
 inside them.  A view shares memory with the array it was built from
 and leaves that array writeable: a caller who goes on to write to it changes
-the container too.
+the container too.  The one object that holds a generator is
+:class:`SplitOccurrenceMatrix`: it draws each of its rows on first read and
+keeps it, so a row costs a draw only if it is read.
 """
 
 from __future__ import annotations
@@ -223,35 +225,53 @@ def split_samples(letters: np.ndarray, sm: SplitMap, rng: np.random.Generator,
     return sm.offsets[letters] + j
 
 
-@dataclass(frozen=True)
 class SplitOccurrenceMatrix:
     """Random splits of each letter's count into every bucket count up to a cap.
 
-    ``row(i, j)`` is a fixed random split of ``X_i`` into ``j`` buckets (the
-    buckets sum to ``X_i``); rows are drawn independently across ``(i, j)`` at
-    construction time, which is what lets a later lookup stand in for
+    ``row(i, j)`` is a random split of ``X_i`` into ``j`` buckets (the buckets
+    sum to ``X_i``), a multinomial draw with equal bucket probabilities;
+    rows are independent across ``(i, j)``.  A row is drawn from the
+    matrix's generator the first time it is read and kept, so every later
+    read returns the same row: that is what lets a lookup stand in for
     recasting the underlying samples one by one.
     """
 
-    splits: tuple  # splits[j-1] is a read-only (n, j) int64 array
-    max_buckets: int
+    def __init__(self, x: OccurrenceVector, max_buckets: int,
+                 rng: np.random.Generator):
+        if max_buckets < 1:
+            raise ValueError("need at least one bucket")
+        self.x = x
+        self.max_buckets = max_buckets
+        self._rng = rng
+        # bucket count -> (rows, which rows are drawn); one bucket is X itself
+        self._rows = {1: (x.counts.reshape(-1, 1), np.ones(x.n, dtype=bool))}
 
     def row(self, letter, buckets: int) -> np.ndarray:
-        """Split of ``X_letter`` into ``buckets``; an index array of letters
-        gives one row per letter."""
+        """Split of ``X_letter`` into ``buckets``, read-only; an index array of
+        letters gives one row per letter.  Rows not read before are drawn
+        now, by one multinomial call, in ascending letter order."""
         if not 1 <= buckets <= self.max_buckets:
             raise ValueError("bucket count out of range")
-        return self.splits[buckets - 1][letter]
+        n = self.x.n
+        if buckets not in self._rows:
+            self._rows[buckets] = (np.zeros((n, buckets), dtype=np.int64),
+                                   np.zeros(n, dtype=bool))
+        rows, drawn = self._rows[buckets]
+        new = np.zeros(n, dtype=bool)
+        new[letter] = True
+        new = np.flatnonzero(new & ~drawn)
+        if new.size:
+            rows[new] = self._rng.multinomial(self.x.counts[new],
+                                              np.full(buckets, 1.0 / buckets))
+            drawn[new] = True
+        return _readonly(rows[letter])
 
 
 def split_occurrence_matrix(x: OccurrenceVector, max_buckets: int,
                             rng: np.random.Generator) -> SplitOccurrenceMatrix:
-    if max_buckets < 1:
-        raise ValueError("need at least one bucket")
-    splits = [x.counts.reshape(-1, 1)]
-    for j in range(2, max_buckets + 1):
-        splits.append(_readonly(rng.multinomial(x.counts, np.full(j, 1.0 / j))))
-    return SplitOccurrenceMatrix(tuple(splits), max_buckets)
+    """The split rows of ``x`` up to ``max_buckets`` buckets, drawn from ``rng``
+    as they are read."""
+    return SplitOccurrenceMatrix(x, max_buckets, rng)
 
 
 def l1_distance(p: Distribution, q: Distribution) -> float:

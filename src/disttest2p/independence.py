@@ -130,7 +130,9 @@ class JointDistribution:
     def sample_joint(self, t: int, rng: np.random.Generator
                      ) -> tuple[IndexedSampleSet, IndexedSampleSet]:
         """t index-aligned draws; sample i is one joint draw shared by Alice/Bob."""
-        rows, cols = np.divmod(draw(self.probs.ravel(), t, rng), self.m)
+        flat = draw(self.probs.ravel(), t, rng)
+        rows = flat // self.m  # int64 floor division is far cheaper than %
+        cols = flat - rows * self.m
         return IndexedSampleSet(rows, self.n), IndexedSampleSet(cols, self.m)
 
 
@@ -143,6 +145,14 @@ def diagonal_joint(n: int, m: int) -> JointDistribution:
     probs = np.zeros((n, m))
     probs[np.arange(n), np.arange(n) % m] = 1.0 / n
     return JointDistribution(probs)
+
+
+def diagonal_distance(n: int, m: int) -> float:
+    """ell_1 distance of ``diagonal_joint(n, m)`` from the product of its
+    marginals: ``2 - 2 sum_j c_j^2 / n^2``, where ``c_j = #{i < n : i mod m = j}``
+    (``2(1 - 1/m)`` at n = m)."""
+    q, r = divmod(n, m)  # r columns hold q + 1 rows, the other m - r hold q
+    return 2 * (n * n - r * (q + 1) ** 2 - (m - r) * q * q) / (n * n)
 
 
 def split_joint(joint: JointDistribution, sm_rows: SplitMap,

@@ -133,15 +133,17 @@ def collision_norm_estimate(counts) -> float:
 
 
 def haar_rotate(v, rng: np.random.Generator) -> np.ndarray:
-    """``Rv`` for a Haar-random rotation ``R``, drawn in law without ``R``.
+    """``Rv`` for a Haar-random rotation ``R``, drawn in law without ``R``;
+    each vector along the last axis gets its own independent rotation.
 
     A Haar rotation sends ``v`` to a uniform point on the sphere of radius
     ``||v||``, which is ``||v|| g / ||g||`` for ``g ~ N(0, I_n)``: O(n) work
     against the O(n^3) QR factorization behind :class:`RoundedRotation`.
     """
     v = np.asarray(getattr(v, "counts", v), dtype=np.float64)
-    g = rng.standard_normal(v.size)
-    return math.sqrt(float(v @ v) / float(g @ g)) * g
+    g = rng.standard_normal(v.shape)
+    norm_sq = (v * v).sum(axis=-1, keepdims=True)
+    return np.sqrt(norm_sq / (g * g).sum(axis=-1, keepdims=True)) * g
 
 
 class RoundedRotation:

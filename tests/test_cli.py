@@ -65,8 +65,8 @@ class TestRunExperiment:
         # downstream parsers pin this exact output; regenerate deliberately
         # if the schema ever changes.  The one-way file also pins the
         # independence kernel and its wire format (its bits vary per row);
-        # the secure file pins the secure reference's random streams (two
-        # of its sixteen verdicts are wrong, so a new stream layout shows).
+        # the secure file pins the secure reference's random streams (one
+        # of its sixteen verdicts is wrong, so a new stream layout shows).
         goldens = {
             "golden_closeness.csv": ExperimentConfig(
                 protocol="closeness", ns=(200,), ts=(274,), epss=(1.0,),
@@ -374,6 +374,19 @@ class TestBadInput:
         assert [(r["family"], r["status"]) for r in rows[:2]] == \
             [("same", "ok"), ("far", "skipped")]
         assert "2(1-1/n)" in rows[1]["reason"]
+
+    def test_independence_eps_beyond_the_far_instance(self, capsys):
+        # the far instance at n=m=2 lies at distance 2(1-1/m) = 1 from
+        # product: its rows are skipped at eps=1.5, and the independence
+        # subcommand refuses the cell
+        cell = ["--n", "2", "--m", "2", "--t", "2000", "--eps", "1.5", "--k", "1"]
+        err = self.refused(capsys, ["independence", *cell])
+        assert "above 1, the distance of the far instance" in err
+        assert main(["run", "--protocol", "independence", *cell]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["family"], r["status"]) for r in rows[:2]] == \
+            [("product", "ok"), ("far", "skipped")]
+        assert "above 1, the distance of the far instance" in rows[1]["reason"]
 
     def test_removed_rotation_flatness(self, capsys):
         err = self.refused(capsys, ["run", "--protocol", "closeness-secure",

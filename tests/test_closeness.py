@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from disttest2p import closeness, dist
 from disttest2p.closeness import (
     CTParams,
     SecureCTParams,
+    SetVote,
     bernoulli_hits,
     capped_split_adjustment,
     ct2p_insecure,
@@ -283,6 +287,35 @@ class TestCappedSplitAdjustment:
             assert capped_sq + delta1 == split_sq
 
 
+class TestStackedSplitAdjustment:
+    @given(st.data())
+    def test_identity_per_vote(self, data):
+        # per vote, delta_1 = ||A_S - B_S||^2 - ||A' - B'||^2 exactly, the
+        # split vectors read from the same lazily drawn matrices
+        votes, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+
+        def counts(top):
+            return np.array(data.draw(st.lists(
+                st.integers(0, top), min_size=votes * n, max_size=votes * n)),
+                dtype=np.int64).reshape(votes, n)
+        a, b, s = counts(12), counts(12), counts(4)
+        level = data.draw(st.integers(1, 10))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        am, bm = (split_occurrence_matrix(OccurrenceVector(x.ravel()),
+                                          1 + int(s.max()), rng(seed + i))
+                  for i, x in enumerate((a, b)))
+        delta1 = capped_split_adjustment(a, b, s, level, am, bm)
+        assert delta1.shape == (votes,)
+        buckets = 1 + s
+        cuts = np.cumsum(buckets.sum(axis=1))[:-1]
+        a_split, b_split = (np.split(split_occurrences_from_matrix(
+            matrix, buckets.ravel()), cuts) for matrix in (am, bm))
+        for v in range(votes):
+            capped = np.minimum(a[v], level) - np.minimum(b[v], level)
+            diff = a_split[v] - b_split[v]
+            assert delta1[v] == int(diff @ diff) - int(capped @ capped)
+
+
 class TestOccurrenceBounds:
     def test_occurrence_domination(self):
         # X_i <= 50 ln(n) max(1, (t1/t2) Y_i) for all i in >= 95% of trials
@@ -379,15 +412,16 @@ class TestSecureReference:
                             lambda *args, **kw: seen.append(args[:3])
                             or adjust(*args, **kw))
         secure_reference_votes(a, b, params, SharedRandomness(2))
-        assert len(seen) == params.votes
-        for j, (got_a, got_b, got_s) in enumerate(seen):
+        [stacked] = seen  # one call takes every vote's (votes, n) counts
+        assert all(got.shape == (params.votes, 200) for got in stacked)
+        for j, (got_a, got_b, got_s) in enumerate(zip(*stacked)):
             block_a, block_b = a[j * tp:(j + 1) * tp], b[j * tp:(j + 1) * tp]
             for got, letters in ((got_a, block_a[tp - half:]),
                                  (got_b, block_b[tp - half:]),
                                  (got_s, np.concatenate((block_a[:size],
                                                          block_b[:size])))):
                 assert np.array_equal(
-                    got.counts, OccurrenceVector.from_letters(letters, 200).counts)
+                    got, OccurrenceVector.from_letters(letters, 200).counts)
 
     @pytest.mark.parametrize("party, position, letter", [
         (0, 0, 200), (1, 0, -1), (0, -1, -1), (1, -1, 200)])
@@ -422,34 +456,117 @@ class TestSecureReference:
 # These tests hold the closed forms to the literal constructions they replace.
 
 
+def rowwise(one):
+    """Apply ``one(vector, *args)`` to each vector along the last axis."""
+    def apply(v, *args):
+        v = np.asarray(v)
+        out = [one(row, *args) for row in v.reshape(-1, v.shape[-1])]
+        return np.array(out).reshape(v.shape[:-1] + np.shape(out[0]))[()]
+    return apply
+
+
+@rowwise
 def loop_bernoulli_hits(biases, trials, rng):
     """Reference: ``trials`` uniform indices, then one coin per index."""
     idx = rng.integers(0, biases.size, trials)
     if bool((biases[idx] > 1.0).any()):
-        return None
-    return int((rng.random(trials) < biases[idx]).sum())
+        return math.nan
+    return float((rng.random(trials) < biases[idx]).sum())
 
 
+@rowwise
 def qr_rotate(v, rng):
     """Reference: ``Rv`` through the explicit rounded Haar rotation."""
     return RoundedRotation(v.size, int(rng.integers(2 ** 63))).apply(v)
 
 
+def reference_split_matrices(x, max_buckets, rng):
+    """Reference: the eager split matrices, one multinomial draw per bucket
+    count over every letter; entry ``j - 1`` is the ``(n, j)`` matrix."""
+    return [np.asarray(x).reshape(-1, 1)] + [
+        rng.multinomial(x, np.full(j, 1.0 / j)) for j in range(2, max_buckets + 1)]
+
+
 def reference_split_rows(x, max_buckets, rng):
-    """Reference: one multinomial draw per bucket count, cut into one row
-    array per (letter, bucket count)."""
-    per_j = [x.counts.reshape(-1, 1)] + [
-        rng.multinomial(x.counts, np.full(j, 1.0 / j))
-        for j in range(2, max_buckets + 1)]
+    """Reference: :func:`reference_split_matrices` cut into one row array per
+    (letter, bucket count)."""
+    per_j = reference_split_matrices(x.counts, max_buckets, rng)
     return [[per_j[j][i] for j in range(max_buckets)] for i in range(x.n)]
+
+
+def reference_secure_votes(alice_letters, bob_letters, params, shared):
+    """Reference: the secure votes one at a time, vote ``j`` on its own four
+    streams ``(label, j)``, with eager split matrices and delta_1 summed over
+    every letter's split row (the loop the batched votes replace)."""
+    n, tp, level, reps = params.n, params.t_prime, params.cap_level, params.votes
+    half, size, trials = tp // 2, params.splitset_size, params.bernoulli_trials
+    tau = threshold_tau(n + 2 * size, half, params.eps)
+    votes = []
+    for j in range(reps):
+        block_a = alice_letters[j * tp:(j + 1) * tp]
+        block_b = bob_letters[j * tp:(j + 1) * tp]
+        s = np.bincount(np.concatenate((block_a[:size], block_b[:size])),
+                        minlength=n)
+        a = np.bincount(block_a[tp - half:], minlength=n)
+        b = np.bincount(block_b[tp - half:], minlength=n)
+        buckets = 1 + s
+        a_rows, b_rows = (reference_split_matrices(x, int(buckets.max()),
+                                                   shared.stream(label, j))
+                          for x, label in ((a, "alice-split"), (b, "bob-split")))
+        capped = np.minimum(a, level) - np.minimum(b, level)
+        delta1 = -int(capped @ capped)
+        for m in set(buckets.tolist()):
+            diff = a_rows[m - 1][buckets == m] - b_rows[m - 1][buckets == m]
+            delta1 += int((diff * diff).sum())
+        headroom = 2.0 * (tau - delta1)
+        if headroom <= 0:
+            votes.append(SetVote(delta1, 0.0, tau, headroom, False, Decision.FAR))
+            continue
+        rotated = haar_rotate(capped, shared.stream("rotation", j))
+        biases = n * rotated ** 2 / (headroom * reps)
+        hits = bernoulli_hits(biases, trials, shared.stream("bernoulli", j))
+        if math.isnan(hits):
+            votes.append(SetVote(delta1, 0.0, tau, headroom, True, Decision.FAR))
+            continue
+        delta2 = headroom * reps / trials * hits
+        vote = Decision.FAR if delta1 + delta2 > tau else Decision.SAME
+        votes.append(SetVote(delta1, delta2, tau, headroom, False, vote))
+    return votes
 
 
 def summary(draws):
     """Clamp count and the (mean, SE, variance, SE) of the unclamped hits."""
-    hits = np.array([h for h in draws if h is not None], dtype=np.float64)
+    draws = np.asarray(draws, dtype=np.float64)
+    hits = draws[~np.isnan(draws)]
     dev_sq = (hits - hits.mean()) ** 2
     return (len(draws) - hits.size, hits.mean(), hits.std() / math.sqrt(hits.size),
             dev_sq.mean(), dev_sq.std() / math.sqrt(hits.size))
+
+
+def rates_agree(x, y):
+    """Two 0/1 samples' rates differ by at most 3 pooled SE."""
+    pooled = (np.sum(x) + np.sum(y)) / (len(x) + len(y))
+    se = math.sqrt(pooled * (1 - pooled) * (1 / len(x) + 1 / len(y)))
+    return abs(np.mean(x) - np.mean(y)) <= 3 * se
+
+
+def law_mismatches(new, old):
+    """What tells two lists of one family's votes apart: KS p <= 0.01 on
+    delta_1 or on unclamped delta_2, or a FAR, clamp or headroom <= 0 rate
+    more than 3 SE away."""
+    def unclamped_delta2(votes):
+        return [v.delta2 for v in votes if v.headroom > 0 and not v.clamped]
+    found = []
+    for name, stat in (("delta1", lambda votes: [v.delta1 for v in votes]),
+                       ("delta2", unclamped_delta2)):
+        if stats.ks_2samp(stat(new), stat(old)).pvalue <= 0.01:
+            found.append(name)
+    for name, flag in (("far", lambda v: v.vote is Decision.FAR),
+                       ("clamp", lambda v: v.clamped),
+                       ("headroom", lambda v: v.headroom <= 0)):
+        if not rates_agree([flag(v) for v in new], [flag(v) for v in old]):
+            found.append(name)
+    return found
 
 
 class TestClosedFormLaws:
@@ -457,8 +574,7 @@ class TestClosedFormLaws:
         # n=10 with one clamped bias and B=5: no clamp w.p. 0.9^5 ~ 0.59
         biases = np.append(rng(11).uniform(0.05, 0.95, 9), 1.5)
         trials, reps = 5, 20_000
-        new = [bernoulli_hits(biases, trials, r) for r in
-               (rng(10_000 + i) for i in range(reps))]
+        new = bernoulli_hits(np.tile(biases, (reps, 1)), trials, rng(10_000))
         old = [loop_bernoulli_hits(biases, trials, r) for r in
                (rng(50_000 + i) for i in range(reps))]
         (c_new, m_new, sm_new, v_new, sv_new) = summary(new)
@@ -474,13 +590,18 @@ class TestClosedFormLaws:
         assert v_new == pytest.approx(trials * p * (1 - p), abs=3 * sv_new)
 
     def test_bernoulli_hits_edge_cases(self):
-        assert bernoulli_hits(np.full(4, 1.5), 3, rng()) is None
+        assert math.isnan(bernoulli_hits(np.full(4, 1.5), 3, rng()))
         assert bernoulli_hits(np.zeros(4), 3, rng()) == 0
         assert bernoulli_hits(np.ones(4), 3, rng()) == 3
         # one clamped index among 10^4: 10^4 trials miss it w.p. ~ e^-1
-        clamps = sum(bernoulli_hits(np.append(np.zeros(9_999), 2.0),
-                                    10 ** 4, rng(s)) is None for s in range(400))
+        clamps = sum(math.isnan(bernoulli_hits(np.append(np.zeros(9_999), 2.0),
+                                               10 ** 4, rng(s))) for s in range(400))
         assert abs(clamps / 400 - (1 - math.exp(-1))) < 3 * 0.024
+        # a stack of vectors gives one count per vector, NaN where clamped
+        stacked = bernoulli_hits(np.array([np.zeros(4), np.ones(4),
+                                           np.full(4, 1.5)]), 3, rng())
+        assert stacked.shape == (3,) and list(stacked[:2]) == [0, 3]
+        assert math.isnan(stacked[2])
 
     def test_sphere_draw_matches_rounded_rotation(self):
         # the max coordinate (which sets the clamp) and the mass of the first
@@ -532,6 +653,39 @@ class TestClosedFormLaws:
                               [v.delta2 for v in old if not v.clamped]
                               ).pvalue > 0.01
 
+    def test_batched_votes_law_matches_per_vote_loop(self, monkeypatch):
+        # C4's cell, 300 instances per family: the batched votes against
+        # the per-vote loop they replace, on the same instances, so only the
+        # random streams differ.  The same check must catch split rows drawn
+        # at one bucket too many.
+        params = SecureCTParams(n=200, t=1095, eps=1.0, k=4)
+        uniform = uniform_distribution(200)
+        families = {"same": uniform, "far": far_instance(200, 1.0)}
+
+        def votes(run):
+            out = {}
+            for f, (family, q) in enumerate(families.items()):
+                out[family] = []
+                for trial in range(60_000 + 1_000 * f, 60_300 + 1_000 * f):
+                    r = rng(trial)
+                    a, b = (sample(d, params.t, r).letters for d in (uniform, q))
+                    out[family] += run(a, b, params, SharedRandomness(trial))
+            return out
+
+        def shifted_matrix(x, max_buckets, r):
+            matrix = split_occurrence_matrix(x, max_buckets + 1, r)
+            return types.SimpleNamespace(
+                row=lambda letter, m: matrix.row(letter, m + 1))
+
+        old = votes(reference_secure_votes)
+        new = votes(secure_reference_votes)
+        with monkeypatch.context() as m:
+            m.setattr(closeness, "split_occurrence_matrix", shifted_matrix)
+            planted = votes(secure_reference_votes)
+        for family in families:
+            assert law_mismatches(new[family], old[family]) == [], family
+        assert law_mismatches(planted["far"], old["far"]) != []
+
     def test_split_matrix_rows_match_reference(self):
         r = rng(13)
         for _ in range(20):
@@ -540,6 +694,11 @@ class TestClosedFormLaws:
             seed = int(r.integers(2 ** 32))
             m = split_occurrence_matrix(x, max_buckets, rng(seed))
             rows = reference_split_rows(x, max_buckets, rng(seed))
+            # rows are drawn on first read: reading every letter at each
+            # bucket count in turn draws what the eager reference draws
+            for j in range(1, max_buckets + 1):
+                assert np.array_equal(m.row(np.arange(x.n), j),
+                                      [rows[i][j - 1] for i in range(x.n)])
             for i in range(x.n):
                 for j in range(1, max_buckets + 1):
                     got = m.row(i, j)

@@ -337,6 +337,30 @@ class TestSplitOccurrenceMatrix:
             for j in range(1, 7):
                 assert m.row(i, j).sum() == x.counts[i]
 
+    @given(st.data())
+    def test_rows_are_drawn_once_and_kept(self, data):
+        # a row read again, alone or in another group, is the same array,
+        # and every row handed out is read-only
+        n = data.draw(st.integers(1, 10))
+        max_buckets = data.draw(st.integers(1, 6))
+        x = OccurrenceVector(data.draw(st.lists(st.integers(0, 30),
+                                                min_size=n, max_size=n)))
+        m = split_occurrence_matrix(x, max_buckets,
+                                    rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+        first = {}
+        for _ in range(data.draw(st.integers(1, 8))):
+            j = data.draw(st.integers(1, max_buckets))
+            group = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                                max_size=12)), dtype=np.int64)
+            rows = m.row(group, j)
+            assert rows.shape == (group.size, j) and not rows.flags.writeable
+            for i, row in zip(group.tolist(), rows):
+                assert row.sum() == x.counts[i]
+                assert np.array_equal(row, first.setdefault((i, j), row))
+                alone = m.row(i, j)
+                assert not alone.flags.writeable
+                assert np.array_equal(alone, row)
+
 
 class TestDistances:
     def test_identical(self):

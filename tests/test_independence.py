@@ -3,6 +3,7 @@
 import math
 import struct
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from disttest2p.independence import (
     JointDistribution,
     conditioned,
     conditioned_rows,
+    diagonal_distance,
     diagonal_joint,
     indices_set_vector,
     it2p,
@@ -153,6 +155,19 @@ class TestJointDistribution:
     def test_diagonal_distance(self):
         joint = diagonal_joint(20, 20)
         assert joint.l1_to_product() == pytest.approx(2 * (1 - 1 / 20))
+
+    def test_diagonal_distance_closed_form(self):
+        # |P - p q^T| summed over the cells in exact fractions, as
+        # l1_to_product sums it in floats, against 2 - 2 sum_j c_j^2 / n^2
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                c = [sum(i % m == j for i in range(n)) for j in range(m)]
+                exact = sum(abs(Fraction(i % m == j, n) - Fraction(c[j], n * n))
+                            for i in range(n) for j in range(m))
+                assert exact == 2 - Fraction(2 * sum(x * x for x in c), n * n)
+                assert diagonal_distance(n, m) == float(exact)
+                assert diagonal_joint(n, m).l1_to_product() == \
+                    pytest.approx(float(exact), abs=1e-12)
 
     def test_product_distance_zero(self):
         joint = product_joint(uniform_distribution(6), uniform_distribution(4))
