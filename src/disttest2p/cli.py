@@ -84,13 +84,17 @@ def _joint_samples(cell, family, params, rng):
         joint = product_joint(dist.uniform_distribution(n),
                               dist.uniform_distribution(m))
     else:
-        bound = diagonal_distance(n, m)
-        if cell["eps"] > bound:
-            raise ConfigError(f"eps={cell['eps']} is above {bound:.4g}, the "
-                              f"distance of the far instance from product at "
-                              f"n={n}, m={m}")
+        _check_far_eps(n, m, cell["eps"])
         joint = diagonal_joint(n, m)
     return joint.sample_joint(cell["t"], rng)
+
+
+def _check_far_eps(n: int, m: int, eps: float) -> None:
+    """Refuse an eps beyond the independence far instance's distance."""
+    bound = diagonal_distance(n, m)
+    if eps > bound:
+        raise ConfigError(f"eps={eps} is above {bound:.4g}, the distance of "
+                          f"the far instance from product at n={n}, m={m}")
 
 
 def _ghd_pair(case, params, rng):
@@ -300,6 +304,8 @@ def calibrate(protocol: str, n: int, eps: float, seed: int, trials: int = 60,
         raise ConfigError(
             f"alphabet n={n} too small to calibrate: the precondition sample "
             f"bound {baseline:.0f} exceeds the domain scale n^2={n ** 2}")
+    if protocol == "independence":
+        _check_far_eps(n, n, eps)
     best = None
     for consts in _GRIDS[protocol]:
         try:

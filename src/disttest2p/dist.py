@@ -208,18 +208,11 @@ def split_distribution(p: Distribution, sm: SplitMap) -> Distribution:
     return Distribution(np.repeat(per_bucket, sm.bucket_counts))
 
 
-def split_samples(letters: np.ndarray, sm: SplitMap, rng: np.random.Generator,
-                  positions=None) -> np.ndarray:
+def split_samples(letters: np.ndarray, sm: SplitMap,
+                  rng: np.random.Generator) -> np.ndarray:
     """Recast each draw (a sample set's letters) as a draw from the split
-    distribution, a uniform bucket of its letter: the split letters, int64.
-
-    ``positions`` (an index array into the samples) recasts only those
-    samples, in that order.  One uniform is still drawn per sample, so each
-    returned letter is the full recast's letter at its position.
-    """
+    distribution, a uniform bucket of its letter: the split letters, int64."""
     u = rng.random(len(letters))
-    if positions is not None:
-        u, letters = u[positions], letters[positions]
     # rng.random() <= 1 - 2**-53, so j <= a - 1 for every a below 2**53
     j = np.floor(u * sm.bucket_counts[letters]).astype(np.int64)
     return sm.offsets[letters] + j

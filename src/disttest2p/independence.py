@@ -8,14 +8,17 @@ an independent block (simulating the product of marginals).  The two paired
 sample sets are then closeness-tested with the exact squared distance of their
 occurrence vectors, gated by a factor-4 collision-norm agreement check.
 
-A repetition is two halves, :func:`_alice_pool` and :func:`_bob_vote`.  The
-two-way IT2p runs both inside its trusted evaluation, charged the closed-form
-cost ``ITParams.secure_bits``; the one-way variant runs them on either side
-of one message.  Same inputs and seed give both
-testers the same votes.  A vote reads Bob's samples only at Alice's pool,
-the few hundred sample indices carrying her live letters, so Bob recasts
-his blocks only there, and one sort of the four paired subsets' codes gives
-both the collision norms and the exact distance.
+A repetition is two halves, :func:`_alice_half` and :func:`_bob_half`, and
+each half runs every repetition of a row in one array pass: the
+repetitions' split alphabets lie end to end as one, and each random stream
+serves all of them, so a row opens five streams whatever its vote count.
+The two-way IT2p runs both halves inside its trusted evaluation, charged the
+closed-form cost ``ITParams.secure_bits``; the one-way variant runs them on
+either side of one message.  Same inputs and seed give both testers the same
+votes.  A vote reads Bob's samples only at Alice's pool, the few hundred
+sample indices carrying her live letters, so Bob recasts his blocks only
+there, and one sort of the paired subsets' codes gives every vote's
+collision norms and exact distance.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +35,8 @@ from .closeness import norm_estimates_agree, threshold_tau
 from .dist import (
     Distribution,
     IndexedSampleSet,
-    OccurrenceVector,
     SplitMap,
     draw,
-    split_map,
     split_samples,
 )
 from .harness import (
@@ -73,7 +75,7 @@ def conditioned(p: Distribution, letters) -> Distribution:
 def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
     """Draw ``|S1 ∩ S2|`` for a fixed alpha-subset and uniform beta-subset of [n].
 
-    The law of the live-letter count before the cap in :func:`_alice_pool`.
+    The law of the live-letter count before the cap in :func:`_alice_half`.
     """
     if alpha > n or beta > n:
         raise ValueError("subset sizes cannot exceed the ground set")
@@ -153,6 +155,21 @@ def diagonal_distance(n: int, m: int) -> float:
     (``2(1 - 1/m)`` at n = m)."""
     q, r = divmod(n, m)  # r columns hold q + 1 rows, the other m - r hold q
     return 2 * (n * n - r * (q + 1) ** 2 - (m - r) * q * q) / (n * n)
+
+
+def far_joint(n: int, m: int, d: float) -> JointDistribution:
+    """A joint law at ell_1 distance ``d`` from the product of its marginals:
+    ``diagonal_joint(n, m)`` mixed into the product of its marginals at
+    weight ``d / diagonal_distance(n, m)``.  The mixture keeps the diagonal's
+    marginals, so its distance is the weight times the diagonal's."""
+    bound = diagonal_distance(n, m)
+    if not 0 < d <= bound:  # NaN fails too
+        raise ConfigError(f"d={d} is outside (0, {bound:.4g}], the distances "
+                          f"from product reachable at n={n}, m={m}")
+    diag = diagonal_joint(n, m)
+    w = d / bound
+    product = np.outer(diag.marginal_rows().probs, diag.marginal_cols().probs)
+    return JointDistribution((1 - w) * product + w * diag.probs)
 
 
 def split_joint(joint: JointDistribution, sm_rows: SplitMap,
@@ -253,13 +270,16 @@ class ITParams:
 
 @dataclass(frozen=True)
 class Repetition:
-    """One repetition's reduction and vote; kept for the invariant suite."""
+    """One repetition's reduction, statistics and vote."""
 
     sm_a: SplitMap
     live: np.ndarray       # Alice's sampled split letters, ascending
     pool: np.ndarray       # her sample indices carrying them
     a_letters: np.ndarray  # her split letters at the pool
     subsets: tuple         # the four paired subsets, as positions in the pool
+    chi: bool              # the collision norms of x1 and y1 agree
+    delta: float           # the exact ||X2 - Y2||^2
+    tau: float             # the threshold delta is held to
     vote: Decision
 
     @property
@@ -277,109 +297,207 @@ def _blocks(letters: np.ndarray, params: ITParams) -> np.ndarray:
     return letters[:3 * reps * tp].reshape(reps, 3, tp)
 
 
-def _alice_pool(rep: int, split_block, block, params: ITParams,
-                shared: SharedRandomness):
-    """Alice's half of a repetition: the letters she keeps and their samples.
+def _stacked(letters: np.ndarray, alphabet: int) -> np.ndarray:
+    """Row ``r``'s letters moved to ``r * alphabet + letter``: the rows'
+    alphabets laid end to end as one."""
+    return letters + alphabet * np.arange(len(letters))[:, None]
 
-    She splits her alphabet by one block and recasts the next onto it.  Her
-    live letters are the split letters of a uniform ell-subset that her
-    recast samples hit; at most ``ceil(100 t' ell / n)`` of them are kept,
-    a uniform subset when the cap binds.  Returns the split map, the live
-    letters, the pool of sample indices carrying them (grouped by letter)
-    and her split letters at the pool.
+
+def _split_rows(split_blocks: np.ndarray, n: int) -> SplitMap:
+    """Each row's split map, by its row of ``split_blocks``, as one map over
+    the stacked alphabets: row ``r``'s letter ``i`` is ground letter
+    ``r * n + i``, and its split letters follow those of row ``r - 1``."""
+    return SplitMap(1 + np.bincount(_stacked(split_blocks, n).ravel(),
+                                    minlength=n * len(split_blocks)))
+
+
+class _Pools(NamedTuple):
+    """Alice's half of every repetition (see :func:`_alice_half`): per
+    repetition, her split map's bucket counts and the mask of her live
+    letters; and her pool, one entry per sample, as the sample's repetition,
+    its index in the block and her split letter there, grouped by
+    repetition."""
+
+    bucket_counts: np.ndarray
+    live: np.ndarray
+    rep: np.ndarray
+    at: np.ndarray
+    letters: np.ndarray
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.live.sum(axis=1)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Repetition ``r``'s pool entries are ``edges[r]:edges[r + 1]``."""
+        return np.searchsorted(self.rep, np.arange(len(self.live) + 1))
+
+
+class _Votes(NamedTuple):
+    """Bob's half of every repetition (see :func:`_bob_half`): the chosen
+    pool entries, by repetition and then quarter; and per repetition, the
+    quarter size, the collision-norm gate chi, the exact distance delta and
+    its threshold tau."""
+
+    chosen: np.ndarray
+    size: np.ndarray
+    chi: np.ndarray
+    delta: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def decisions(self) -> list:
+        return [Decision.SAME if ok else Decision.FAR
+                for ok in (self.chi & (self.delta <= self.tau)).tolist()]
+
+
+def _alice_half(split_blocks, blocks, params: ITParams,
+                shared: SharedRandomness) -> _Pools:
+    """Alice's half of every repetition: the letters she keeps and their samples.
+
+    Row ``r`` of the ``(votes, T)`` arrays is repetition ``r``.  It splits
+    her alphabet by the first ``s = min(t', n)`` letters of its split block;
+    the repetitions' split alphabets, ``n + s`` letters each, lie end to
+    end, so one recast and one :func:`indices_set_vector` serve them all.
+    Its universe is a uniform ell-subset of its split letters, a row of one
+    permutation per repetition cut at ell, and its live letters are those
+    that its block, recast onto the split alphabet, hits.  Only the samples
+    whose letter owns a universe letter can hit one, so only they are
+    recast.  At most ``ceil(100 t' ell / n)`` live letters are kept, the
+    first in the universe's uniform order, so a uniform subset when the cap
+    binds.  The pool is the sample indices carrying them, grouped by letter,
+    ascending within one.
     """
     n = params.n
-    sm_a = split_map(OccurrenceVector.from_letters(
-        split_block[:min(params.t_prime, n)], n), n)
-    a = split_samples(block, sm_a, shared.stream("alice-recast", rep))
-    order, bounds = indices_set_vector(a, sm_a.total_letters)
-    ell = min(params.ell_target, sm_a.total_letters)
-    rng = shared.stream("oneway-universe", rep)
-    universe = rng.choice(sm_a.total_letters, size=ell, replace=False)
+    votes, width = blocks.shape
+    sm = _split_rows(split_blocks[:, :min(params.t_prime, n)], n)
+    alphabet = sm.total_letters // votes
+    ell = min(params.ell_target, alphabet)
+    universe = np.arange(votes * alphabet).reshape(votes, alphabet)
+    shared.stream("oneway-universe").permuted(universe, axis=1, out=universe)
+    universe = universe[:, :ell]
+    owners = np.zeros(votes * n, bool)
+    owners[np.searchsorted(sm.offsets, universe, "right") - 1] = True
+    letters = _stacked(blocks, n).ravel()
+    read = np.flatnonzero(owners[letters])
+    a = split_samples(letters[read], sm, shared.stream("alice-recast"))
+    order, bounds = indices_set_vector(a, votes * alphabet)
     hit = bounds[universe + 1] > bounds[universe]
-    live = np.sort(universe[hit])
     cap = math.ceil(100.0 * params.t_prime * ell / n)
-    if live.size > cap:
-        live = np.sort(rng.choice(live, size=cap, replace=False))
-    keep = np.zeros(sm_a.total_letters, bool)
-    keep[live] = True
-    pool = order[np.repeat(keep, np.diff(bounds))]
-    return sm_a, live, pool, a[pool]
+    live = np.zeros(votes * alphabet, bool)
+    live[universe[hit & (np.cumsum(hit, axis=1) <= cap)]] = True
+    kept = order[np.repeat(live, np.diff(bounds))]
+    rep, at = np.divmod(read[kept], width)
+    return _Pools(sm.bucket_counts.reshape(votes, n),
+                  live.reshape(votes, alphabet), rep, at,
+                  a[kept] - alphabet * rep)
 
 
-def _pair_vote(perm, a_letters, bp_letters, bq_letters, m_b: int, lam: int,
-               params: ITParams):
-    """Pair, gate on the collision norms, compare the exact distance with tau.
+def _bob_half(b, rep, at, a_letters, lam, params: ITParams,
+              shared: SharedRandomness) -> _Votes:
+    """Bob's half of every repetition, given Alice's pools and her letters.
 
-    The three letter arrays are Alice's and Bob's two blocks' letters at the
-    pool; ``perm`` shuffles their positions, and its first four quarters
-    pair Alice's letters with the joint block (p) and the product block (q):
-    ``x1, y1, x2, y2`` = p, q, p, q.  One ``np.unique`` over the pair codes
-    ``a * m_b + b``, tagged ``4 * code + quarter``, counts every code in
-    every quarter: ``x1`` and ``y1`` give the collision norms, ``x2`` and
-    ``y2`` the exact squared distance of their occurrence vectors.
-    Returns ``(subsets, vote)``.
+    ``b`` is his ``(votes, 3, T)`` blocks; the pool entries ``(rep, at)``,
+    her letters there and ``lam`` are as :func:`_alice_half` gives them (the
+    pool need only be grouped by repetition).  Each repetition shuffles its
+    pool, and the first four quarters of ``min(subset_budget, |pool| // 4)``
+    entries pair Alice's letters with Bob's joint (p) and product (q)
+    blocks, p, q, p, q: ``x1, y1, x2, y2``.  Each repetition splits his
+    alphabet by its first block, and a block is recast only where a quarter
+    reads it, one uniform per sample read.  One sort of the pair codes,
+    tagged ``(repetition, quarter, a, b)``, counts every code: each
+    repetition's ``x1`` and ``y1`` counts are one slice each, for the
+    collision-norm gate, and ``x2`` against ``y2`` gives the exact squared
+    distance.  A pool of fewer than four samples has empty quarters and
+    votes SAME.
     """
-    size = min(params.subset_budget, perm.size // 4)
-    subsets = tuple(perm[q * size:(q + 1) * size] for q in range(4))
-    first = perm[:4 * size]
-    quarter = np.repeat(np.arange(4), size)
-    b_letters = np.where(quarter % 2, bq_letters[first], bp_letters[first])
-    tagged = 4 * (a_letters[first] * m_b + b_letters) + quarter
-    values, counts = np.unique(tagged, return_counts=True)
-    tags = values & 3
-    if size >= 2:
-        chi = norm_estimates_agree(
-            collision_norm_estimate(counts[tags == 0]),
-            collision_norm_estimate(counts[tags == 1]), size)
-    else:
-        chi = True
-    # ||X2 - Y2||^2 = sum x^2 + sum y^2 - 2 sum xy; a code held by both has
-    # its x2 entry (tag 2) right before its y2 entry (tag 3).
-    both = (tags[:-1] == 2) & (values[1:] == values[:-1] + 1)
-    delta = float((counts[tags >= 2] ** 2).sum() -
-                  2 * (counts[:-1][both] * counts[1:][both]).sum())
-    tau = threshold_tau(max(1, lam * params.m), size, params.eps_reduced)
-    return subsets, Decision.SAME if (chi and delta <= tau) else Decision.FAR
+    m, n_a = params.m, params.n + min(params.t_prime, params.n)
+    votes = len(b)
+    shuffle = shared.stream("oneway-bob").permutation(rep.size)
+    # Stable by repetition: each repetition's entries in a uniform order.
+    shuffle = shuffle[np.argsort(rep[shuffle].astype(np.min_scalar_type(votes)),
+                                 kind="stable")]
+    sizes = np.bincount(rep, minlength=votes)
+    size = np.minimum(params.subset_budget, sizes // 4)
+    rank = np.arange(rep.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    quarter_size = np.repeat(size, sizes)
+    kept = rank < 4 * quarter_size
+    chosen, quarter = shuffle[kept], rank[kept] // quarter_size[kept]
+    r, i = rep[chosen], at[chosen]
+    sm = _split_rows(b[:, 0, :m], m)
+    n_b = sm.total_letters // votes
+    b_p = split_samples(b[r, 1, i] + m * r, sm, shared.stream("bob-recast-p"))
+    b_q = split_samples(b[r, 2, i] + m * r, sm, shared.stream("bob-recast-q"))
+    b_letters = np.where(quarter % 2, b_q, b_p) - n_b * r
+    span = n_a * n_b
+    values = np.sort((4 * r + quarter) * span + a_letters[chosen] * n_b
+                     + b_letters)
+    first = np.ones(values.size, bool)  # a code's first place in the sort
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, values.size))
+    values = values[starts]
+    group = values // span  # 4 * repetition + quarter
+    # ||X2 - Y2||^2 = sum x^2 + sum y^2 - 2 sum xy, where a code of y2 is
+    # matched by the same code one group back, in x2.
+    y2 = np.flatnonzero(group % 4 == 3)
+    match = np.searchsorted(values, values[y2] - span)
+    held = values[match] == values[y2] - span
+    delta = (np.bincount(group // 4, counts ** 2 * (group % 4 >= 2),
+                         minlength=votes)
+             - 2 * np.bincount(group[y2[held]] // 4,
+                               counts[y2[held]] * counts[match[held]],
+                               minlength=votes))
+    edges = np.searchsorted(group, np.arange(4 * votes + 1))
+    chi = np.array([
+        s < 2 or norm_estimates_agree(
+            collision_norm_estimate(counts[edges[4 * j]:edges[4 * j + 1]]),
+            collision_norm_estimate(counts[edges[4 * j + 1]:edges[4 * j + 2]]),
+            int(s))
+        for j, s in enumerate(size)], dtype=bool)
+    tau = np.array([threshold_tau(max(1, int(lam_j) * m), int(s),
+                                  params.eps_reduced)
+                    for lam_j, s in zip(lam, size)])
+    return _Votes(chosen, size, chi, delta, tau)
 
 
-def _bob_vote(rep: int, split_block, bp_block, bq_block, pool, a_letters,
-              lam: int, params: ITParams, shared: SharedRandomness):
-    """Bob's half of a repetition, given Alice's pool and her letters at it.
-
-    He splits his alphabet by one block and shuffles the pool.  His joint
-    (p) and product (q) blocks are recast onto the split alphabet only at
-    the pool, the one place the vote reads them; each recast still draws a
-    uniform per sample of its block, so the letters are those of a full
-    recast.  A pool of fewer than four samples abstains (SAME).  Returns
-    ``(subsets, vote)``.
-    """
-    if pool.size < 4:
-        return (), Decision.SAME
-    m = params.m
-    sm_b = split_map(OccurrenceVector.from_letters(split_block[:m], m), m)
-    b_p = split_samples(bp_block, sm_b, shared.stream("bob-recast-p", rep), pool)
-    b_q = split_samples(bq_block, sm_b, shared.stream("bob-recast-q", rep), pool)
-    perm = shared.stream("oneway-bob", rep).permutation(pool.size)
-    return _pair_vote(perm, a_letters, b_p, b_q, sm_b.total_letters, lam, params)
+def _evaluate(a, b, params: ITParams, shared: SharedRandomness):
+    """Both halves of every repetition in the clear, as IT2p evaluates them:
+    Alice's split and recast blocks are ``a[:, 0]`` and ``a[:, 1]``."""
+    pools = _alice_half(a[:, 0], a[:, 1], params, shared)
+    return pools, _bob_half(b, pools.rep, pools.at, pools.letters, pools.lam,
+                            params, shared)
 
 
-def run_repetition(rep: int, a_split_block, a_block, b_split_block, bp_block,
-                   bq_block, params: ITParams, shared: SharedRandomness
-                   ) -> Repetition:
-    """Both halves of one repetition in the clear, as IT2p evaluates it."""
-    sm_a, live, pool, a_letters = _alice_pool(rep, a_split_block, a_block,
-                                              params, shared)
-    subsets, vote = _bob_vote(rep, b_split_block, bp_block, bq_block, pool,
-                              a_letters, live.size, params, shared)
-    return Repetition(sm_a, live, pool, a_letters, subsets, vote)
+def _repetitions(pools: _Pools, votes: _Votes) -> list[Repetition]:
+    """One :class:`Repetition` per repetition of the two halves."""
+    edges, chosen_edges = pools.edges, np.cumsum(np.r_[0, 4 * votes.size])
+    reps = []
+    for j, vote in enumerate(votes.decisions):
+        lo, hi = edges[j], edges[j + 1]
+        quarters = votes.chosen[chosen_edges[j]:chosen_edges[j + 1]] - lo
+        reps.append(Repetition(
+            SplitMap(pools.bucket_counts[j]), np.flatnonzero(pools.live[j]),
+            pools.at[lo:hi], pools.letters[lo:hi],
+            tuple(quarters.reshape(4, votes.size[j])), bool(votes.chi[j]),
+            float(votes.delta[j]), float(votes.tau[j]), vote))
+    return reps
+
+
+def run_repetition(a_split_block, a_block, b_split_block, bp_block, bq_block,
+                   params: ITParams, shared: SharedRandomness) -> Repetition:
+    """One repetition in the clear: the repetition kernel on one row."""
+    (rep,) = _repetitions(*_evaluate(
+        np.stack((a_split_block, a_block))[None],
+        np.stack((b_split_block, bp_block, bq_block))[None], params, shared))
+    return rep
 
 
 def it2p_votes(alice: IndexedSampleSet, bob: IndexedSampleSet,
                params: ITParams, shared: SharedRandomness) -> list[Repetition]:
-    a, b = _blocks(alice.letters, params), _blocks(bob.letters, params)
-    return [run_repetition(i, a[i, 0], a[i, 1], *b[i], params, shared)
-            for i in range(params.votes)]
+    return _repetitions(*_evaluate(_blocks(alice.letters, params),
+                                   _blocks(bob.letters, params), params, shared))
 
 
 def _check_inputs(alice, bob, params):
@@ -396,12 +514,12 @@ def it2p(alice: IndexedSampleSet, bob: IndexedSampleSet, params: ITParams,
     """Two-way tester; all work is modeled inside the trusted evaluation."""
     _check_inputs(alice, bob, params)
     shared = SharedRandomness(seed)
-    reps, transcript = trusted_evaluate(
-        lambda a, b: it2p_votes(a, b, params, shared), alice, bob,
-        params.secure_bits)
-    return Verdict(majority([r.vote for r in reps], Decision.PRODUCT),
-                   transcript,
-                   lambda_mean=float(np.mean([r.lam for r in reps])))
+    (pools, votes), transcript = trusted_evaluate(
+        lambda a, b: _evaluate(_blocks(a.letters, params),
+                               _blocks(b.letters, params), params, shared),
+        alice, bob, params.secure_bits)
+    return Verdict(majority(votes.decisions, Decision.PRODUCT), transcript,
+                   lambda_mean=float(pools.lam.mean()))
 
 
 def _letter_field(alphabet: int) -> str:
@@ -461,24 +579,26 @@ def one_way_it2p(alice: IndexedSampleSet, bob: IndexedSampleSet,
 
     def alice_program():
         a = _blocks(alice.letters, params)
+        pools = _alice_half(a[:, 0], a[:, 1], params, shared)
+        edges = pools.edges
         chunks = []
-        for i in range(reps):
-            _, live, pool, letters = _alice_pool(i, a[i, 0], a[i, 1], params, shared)
-            chunks.append(struct.pack("<I", live.size))
-            if live.size:
-                chunks += [struct.pack("<I", pool.size), pool.astype("<u4").tobytes(),
-                           letters.astype(_letter_field(alphabet)).tobytes()]
+        for lam, lo, hi in zip(pools.lam.tolist(), edges[:-1], edges[1:]):
+            chunks.append(struct.pack("<I", lam))
+            if lam:
+                chunks += [struct.pack("<I", hi - lo),
+                           pools.at[lo:hi].astype("<u4").tobytes(),
+                           pools.letters[lo:hi].astype(
+                               _letter_field(alphabet)).tobytes()]
         yield Send(b"".join(chunks))
         return None
 
     def bob_program():
         payload = yield Recv()
-        received = _decode_oneway(payload, reps, tp, alphabet)
-        b = _blocks(bob.letters, params)
-        votes = [_bob_vote(i, *b[i], pool, a_letters, lam, params, shared)[1]
-                 for i, (lam, pool, a_letters) in enumerate(received)]
-        return (majority(votes, Decision.PRODUCT),
-                float(np.mean([lam for lam, _, _ in received])))
+        lam, at, letters = zip(*_decode_oneway(payload, reps, tp, alphabet))
+        rep = np.repeat(np.arange(reps), [pool.size for pool in at])
+        votes = _bob_half(_blocks(bob.letters, params), rep, np.concatenate(at),
+                          np.concatenate(letters), lam, params, shared)
+        return majority(votes.decisions, Decision.PRODUCT), float(np.mean(lam))
 
     _, (decision, lam_mean), transcript = run_protocol(alice_program(),
                                                        bob_program())

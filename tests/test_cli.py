@@ -557,6 +557,17 @@ class TestCalibrate:
         assert code in (0, 3)
         assert "too small to calibrate" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, eps, bound", [("1", "1", "0"),
+                                                ("2", "1.5", "1")])
+    def test_independence_eps_beyond_the_far_instance(self, capsys, n, eps,
+                                                      bound):
+        # calibrate sets m = n, where the far instance lies 2(1-1/n) from
+        # product: the eps is refused before any grid point runs
+        err = TestBadInput.refused(capsys, [
+            "calibrate", "--protocol", "independence", "--n", n, "--eps", eps,
+            "--trials", "1"])
+        assert f"above {bound}, the distance of the far instance" in err
+
     @pytest.mark.parametrize("protocol, flag, value", [
         ("closeness", "--eps", "0"), ("closeness", "--n", "-5"),
         ("closeness", "--n", "0"), ("closeness", "--eps", "nan"),

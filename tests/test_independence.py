@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from disttest2p import independence
+from disttest2p.closeness import norm_estimates_agree, threshold_tau
 from disttest2p.dist import (
     Distribution,
     IndexedSampleSet,
     OccurrenceVector,
     sample,
     split_map,
+    split_samples,
     uniform_distribution,
 )
 from disttest2p.harness import (
@@ -28,14 +30,18 @@ from disttest2p.harness import (
 )
 from disttest2p.independence import (
     ITParams,
-    _alice_pool,
+    _alice_half,
+    _bob_half,
+    _blocks,
     _decode_oneway,
-    _pair_vote,
+    _evaluate,
+    _repetitions,
     JointDistribution,
     conditioned,
     conditioned_rows,
     diagonal_distance,
     diagonal_joint,
+    far_joint,
     indices_set_vector,
     it2p,
     it2p_votes,
@@ -151,6 +157,15 @@ class TestIndicesSetVector:
                                   np.flatnonzero(letters == j))
 
 
+def l1_to_product(cells):
+    """Exact ell_1 distance of a matrix of fractions from the product of its
+    marginals."""
+    rows = [sum(row) for row in cells]
+    cols = [sum(col) for col in zip(*cells)]
+    return sum(abs(x - r * c) for row, r in zip(cells, rows)
+               for x, c in zip(row, cols))
+
+
 class TestJointDistribution:
     def test_diagonal_distance(self):
         joint = diagonal_joint(20, 20)
@@ -213,6 +228,37 @@ class TestJointDistribution:
         joint = diagonal_joint(12, 4)
         assert np.allclose(joint.marginal_rows().probs, np.full(12, 1 / 12))
         assert np.allclose(joint.marginal_cols().probs, np.full(4, 1 / 4))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 9)
+                                      for m in range(2, n + 1)])
+    def test_far_joint_distance_exact(self, n, m):
+        # The mixture in exact fractions lies at exactly d; the float law
+        # sits within 1e-12 of it, cell by cell and in its exact distance
+        # from the product of its own exact marginals.
+        bound = 2 - Fraction(2 * sum(x * x for x in
+                                     [sum(i % m == j for i in range(n))
+                                      for j in range(m)]), n * n)
+        assert diagonal_distance(n, m) == float(bound)
+        for d in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, diagonal_distance(n, m)):
+            if d > bound:
+                continue
+            w = Fraction(d) / bound
+            diag = [[Fraction(i % m == j, n) for j in range(m)] for i in range(n)]
+            cols = [sum(row[j] for row in diag) for j in range(m)]
+            exact = [[(1 - w) * cols[j] / n + w * diag[i][j] for j in range(m)]
+                     for i in range(n)]
+            assert l1_to_product(exact) == Fraction(d)
+            probs = far_joint(n, m, d).probs
+            assert np.abs(probs - np.array(exact, dtype=float)).max() < 1e-12
+            got = [[Fraction(float(x)) for x in row] for row in probs]
+            assert abs(l1_to_product(got) - Fraction(d)) < 1e-12
+
+    @pytest.mark.parametrize("n, m, d", [(20, 20, 0.0), (20, 20, -0.5),
+                                         (20, 20, 1.91), (20, 20, math.nan),
+                                         (1, 1, 0.5), (2, 2, 1.5)])
+    def test_far_joint_refuses_unreachable_distance(self, n, m, d):
+        with pytest.raises(ConfigError, match=f"{diagonal_distance(n, m):.4g}"):
+            far_joint(n, m, d)
 
 
 class TestAlphabetReductionLaws:
@@ -277,12 +323,12 @@ class TestRepetitionPipeline:
         self.params = minimal_params()
         self.shared = SharedRandomness(11)
 
-    def run_one(self, joint, seed, rep=0):
+    def run_one(self, joint, seed):
         a, b = joint.sample_joint(self.params.t, rng(seed))
         tp = self.params.t_prime
         blocks_a = [a.letters[i * tp:(i + 1) * tp] for i in range(3)]
         blocks_b = [b.letters[i * tp:(i + 1) * tp] for i in range(3)]
-        return run_repetition(rep, blocks_a[0], blocks_a[1], blocks_b[0],
+        return run_repetition(blocks_a[0], blocks_a[1], blocks_b[0],
                               blocks_b[1], blocks_b[2], self.params, self.shared)
 
     def test_subsets_disjoint_every_run(self):
@@ -360,39 +406,180 @@ def reference_pair_statistics(perm, a, bp, bq, m_b: int, size: int):
     return norms, float(delta)
 
 
+def reference_repetition(rep, a_split, a_block, b_split, bp_block, bq_block,
+                         params, shared):
+    """One repetition on its own five streams ``(label, rep)``, as the
+    per-repetition loop ran it: ``(lam, pool size, chi, delta, vote)``."""
+    n, m = params.n, params.m
+    sm_a = split_map(OccurrenceVector.from_letters(
+        a_split[:min(params.t_prime, n)], n), n)
+    a = split_samples(a_block, sm_a, shared.stream("alice-recast", rep))
+    order, bounds = indices_set_vector(a, sm_a.total_letters)
+    ell = min(params.ell_target, sm_a.total_letters)
+    r = shared.stream("oneway-universe", rep)
+    universe = r.choice(sm_a.total_letters, size=ell, replace=False)
+    live = np.sort(universe[bounds[universe + 1] > bounds[universe]])
+    cap = math.ceil(100.0 * params.t_prime * ell / n)
+    if live.size > cap:
+        live = np.sort(r.choice(live, size=cap, replace=False))
+    keep = np.zeros(sm_a.total_letters, bool)
+    keep[live] = True
+    pool = order[np.repeat(keep, np.diff(bounds))]
+    if pool.size < 4:
+        return live.size, pool.size, True, 0.0, Decision.SAME
+    sm_b = split_map(OccurrenceVector.from_letters(b_split[:m], m), m)
+    b_p = split_samples(bp_block, sm_b, shared.stream("bob-recast-p", rep))[pool]
+    b_q = split_samples(bq_block, sm_b, shared.stream("bob-recast-q", rep))[pool]
+    perm = shared.stream("oneway-bob", rep).permutation(pool.size)
+    size = min(params.subset_budget, pool.size // 4)
+    norms, delta = reference_pair_statistics(perm, a[pool], b_p, b_q,
+                                             sm_b.total_letters, size)
+    chi = norms is None or norm_estimates_agree(*norms, size)
+    tau = threshold_tau(max(1, live.size * m), size, params.eps_reduced)
+    return (live.size, pool.size, chi, delta,
+            Decision.SAME if chi and delta <= tau else Decision.FAR)
+
+
+def reference_repetitions(alice, bob, params, shared):
+    """Reference: the repetitions one at a time (the loop the batched
+    kernel replaces)."""
+    a, b = _blocks(alice, params), _blocks(bob, params)
+    return [reference_repetition(i, a[i, 0], a[i, 1], *b[i], params, shared)
+            for i in range(params.votes)]
+
+
+def rates_agree(x, y):
+    """Two 0/1 samples' rates differ by at most 3 pooled SE."""
+    pooled = (np.sum(x) + np.sum(y)) / (len(x) + len(y))
+    se = math.sqrt(pooled * (1 - pooled) * (1 / len(x) + 1 / len(y)))
+    return abs(np.mean(x) - np.mean(y)) <= 3 * se
+
+
+def law_mismatches(new, old):
+    """What tells two lists of ``(lam, pool size, chi, delta, vote)`` apart:
+    KS p <= 0.01 on delta, pool size or lambda, or a FAR or chi rate more
+    than 3 SE away."""
+    found = []
+    for name, column in (("lambda", 0), ("pool", 1), ("delta", 3)):
+        if stats.ks_2samp([v[column] for v in new],
+                          [v[column] for v in old]).pvalue <= 0.01:
+            found.append(name)
+    for name, flag in (("chi", lambda v: v[2]),
+                       ("far", lambda v: v[4] is Decision.FAR)):
+        if not rates_agree([flag(v) for v in new], [flag(v) for v in old]):
+            found.append(name)
+    return found
+
+
 class TestPairVote:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_statistics_match_the_reference(self, data):
-        # tau set to the reference distance, then half below it, pins the
-        # vote's distance; the norm gate's arguments are recorded
-        pool = data.draw(st.integers(4, 40))
-        m_b = data.draw(st.integers(1, 6))
-        a, bp, bq = (np.array(data.draw(st.lists(
-            st.integers(0, top - 1), min_size=pool, max_size=pool)))
-            for top in (data.draw(st.integers(1, 8)), m_b, m_b))
-        perm = np.array(data.draw(st.permutations(range(pool))))
-        params = types.SimpleNamespace(subset_budget=data.draw(
-            st.integers(1, 12)), m=1, eps_reduced=1.0)
-        size = min(params.subset_budget, pool // 4)
-        norms, delta = reference_pair_statistics(perm, a, bp, bq, m_b, size)
-        seen = []
+        # Bob's half on drawn pools of one to three repetitions: each one's
+        # quarters, norm-gate arguments, delta and tau against the
+        # one-repetition reference on the same positions and recast letters
+        votes, m, n = (data.draw(st.integers(1, top)) for top in (3, 6, 8))
+        width = data.draw(st.integers(m, 40))
+        params = types.SimpleNamespace(
+            n=n, m=m, t_prime=width, eps_reduced=1.0,
+            subset_budget=data.draw(st.integers(1, 12)))
+        n_a, n_b = n + min(width, n), 2 * m
+        b = np.array(data.draw(st.lists(
+            st.integers(0, m - 1), min_size=3 * votes * width,
+            max_size=3 * votes * width))).reshape(votes, 3, width)
+        pools = [np.array(data.draw(st.lists(
+            st.integers(0, width - 1), unique=True, max_size=width)),
+            dtype=np.int64) for _ in range(votes)]
+        letters = [np.array(data.draw(st.lists(
+            st.integers(0, n_a - 1), min_size=p.size, max_size=p.size)),
+            dtype=np.int64) for p in pools]
+        lam = np.array(data.draw(st.lists(st.integers(0, 30), min_size=votes,
+                                          max_size=votes)))
+        shared = SharedRandomness(data.draw(st.integers(0, 2 ** 32)))
+        recast, seen = [], []
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(independence, "split_samples", lambda *args: (
+                recast.append(split_samples(*args)) or recast[-1]))
             mp.setattr(independence, "norm_estimates_agree",
                        lambda x, y, t: seen.append((x, y, t)) or True)
-            for tau, expected in ((delta, Decision.SAME),
-                                  (delta - 0.5, Decision.FAR)):
-                mp.setattr(independence, "threshold_tau",
-                           lambda *args, tau=tau: tau)
-                subsets, vote = _pair_vote(perm, a, bp, bq, m_b, 1, params)
-                assert vote is expected
-        assert seen == ([] if norms is None else [(*norms, size)] * 2)
-        assert [q.tolist() for q in subsets] == \
-            [perm[q * size:(q + 1) * size].tolist() for q in range(4)]
+            first, size, chi, delta, tau = _bob_half(
+                b, np.repeat(np.arange(votes), [p.size for p in pools]),
+                np.concatenate(pools), np.concatenate(letters), lam, params,
+                shared)
+        # the recasts at the chosen positions, spread over the pool
+        b_p, b_q = np.full((2, sum(p.size for p in pools)), -1)
+        rep = np.repeat(np.arange(votes), [p.size for p in pools])[first]
+        b_p[first], b_q[first] = (x - n_b * rep for x in recast)
+        edges = np.cumsum([0] + [p.size for p in pools])
+        chosen_edges = np.cumsum(np.r_[0, 4 * size])
+        expected = []
+        for r in range(votes):
+            lo, hi = edges[r], edges[r + 1]
+            chosen = first[chosen_edges[r]:chosen_edges[r + 1]] - lo
+            assert size[r] == min(params.subset_budget, (hi - lo) // 4)
+            assert sorted(set(chosen.tolist())) == sorted(chosen.tolist())
+            assert chosen.size == 0 or 0 <= chosen.min() <= chosen.max() < hi - lo
+            assert tau[r] == threshold_tau(max(1, lam[r] * m), size[r], 1.0)
+            if size[r] == 0:  # fewer than four samples: the repetition abstains
+                assert (chi[r], delta[r], delta[r] <= tau[r]) == (True, 0, True)
+                continue
+            norms, reference = reference_pair_statistics(
+                chosen, letters[r], b_p[lo:hi], b_q[lo:hi], n_b, size[r])
+            assert delta[r] == reference
+            if norms is not None:
+                expected.append((*norms, size[r]))
+        assert seen == expected
+
+
+class TestBatchedLaw:
+    def test_batched_kernel_law_matches_per_repetition_loop(self):
+        # C5's cell, 300 instances per family: the batched repetitions
+        # against the per-repetition loop they replace, on the same
+        # instances, so only the random streams differ.  The same check must
+        # catch a universe one letter short and a q block recast from the p
+        # block's letters.
+        params = minimal_params()
+        uniform = uniform_distribution(20)
+        families = {"product": product_joint(uniform, uniform),
+                    "diagonal": diagonal_joint(20, 20),
+                    "far": far_joint(20, 20, 0.5)}
+
+        def kernel(used=params, q_block=2):
+            def run(alice, bob, shared):
+                a, b = _blocks(alice, params), _blocks(bob, params)
+                return [(r.lam, r.pool.size, r.chi, r.delta, r.vote)
+                        for r in _repetitions(*_evaluate(
+                            a, b[:, [0, 1, q_block]], used, shared))]
+            return run
+
+        def votes(run, names=tuple(families)):
+            out = {}
+            for name in names:
+                base = 70_000 + 1_000 * list(families).index(name)
+                out[name] = []
+                for trial in range(base, base + 300):
+                    a, b = families[name].sample_joint(params.t, rng(trial))
+                    out[name] += run(a.letters, b.letters,
+                                     SharedRandomness(trial))
+            return out
+
+        short = types.SimpleNamespace(**{
+            name: getattr(params, name)
+            for name in ("n", "m", "t_prime", "subset_budget", "eps_reduced")},
+            ell_target=params.ell_target - 1)
+        old = votes(lambda a, b, shared: reference_repetitions(a, b, params,
+                                                                shared))
+        new = votes(kernel())
+        for name in families:
+            assert law_mismatches(new[name], old[name]) == [], name
+        assert law_mismatches(votes(kernel(short), ["product"])["product"],
+                              old["product"]) != []
+        assert law_mismatches(votes(kernel(q_block=1), ["far"])["far"],
+                              old["far"]) != []
 
 
 class TestAlicePool:
-    """``_alice_pool`` in law against the sampler it replaced in IT2p:
+    """Alice's half in law against the sampler it replaced in IT2p:
     lambda = min(usi_sample(n_a, |Gamma|, ell), cap), then a uniform
     lambda-subset of Gamma."""
 
@@ -405,22 +592,30 @@ class TestAlicePool:
         n_a = sm_a.total_letters
         ell = min(params.ell_target, n_a)
         cap = math.ceil(100.0 * params.t_prime * ell / n)
-        shared, r = SharedRandomness(77), rng(78)
+        r = rng(78)
+        # one repetition per trial, all in one call of the kernel
+        _, live, rep, at, letters = _alice_half(
+            np.tile(split_block, (trials, 1)), np.tile(block, (trials, 1)),
+            params, SharedRandomness(77))
+        assert live.shape == (trials, n_a)
+        # the pool's letters are exactly the live ones, repetition by
+        # repetition, and each is the recast of its sample's letter
+        assert np.array_equal(
+            np.bincount(rep * n_a + letters, minlength=live.size) > 0,
+            live.ravel())
+        assert np.array_equal(np.searchsorted(sm_a.offsets, letters, "right") - 1,
+                              block[at])
         lam = np.zeros((2, trials), dtype=np.int64)
         hits = np.zeros((2, n_a))
+        lam[0], hits[0] = live.sum(axis=1), live.sum(axis=0)
         for i in range(trials):
-            _, live, pool, letters = _alice_pool(i, split_block, block, params,
-                                                 shared)
-            assert np.array_equal(np.unique(letters), live)
-            lam[0, i] = live.size
-            hits[0, live] += 1
             lam[1, i] = min(usi_sample(n_a, gamma.size, ell, r), cap)
             hits[1, r.choice(gamma, size=lam[1, i], replace=False)] += 1
         hist = np.array([np.bincount(row, minlength=ell + 1) for row in lam])
-        for counts in (hist, hits):  # frequencies agree within 3 SE
-            p = counts.sum(axis=0) / (2 * trials)
-            se = np.sqrt(p * (1 - p) * 2 / trials)
-            assert np.all(np.abs(counts[0] - counts[1]) / trials <= 3 * se)
+        for table in (hist, hits):  # chi-square p > 0.01 between the two
+            _, pvalue, _, _ = stats.chi2_contingency(
+                table[:, table.sum(axis=0) > 0])
+            assert pvalue > 0.01
         return lam[0], cap
 
     def test_law_without_cap(self):
@@ -509,6 +704,26 @@ class TestIT2P:
         assert (tr.total_bits, tr.modeled_secure_bits) == \
             (8 * (4 + 16), params.secure_bits)
         assert one_way_it2p(a, b, params, 0).transcript.modeled_secure_bits == 0
+
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_a_row_opens_at_most_five_streams(self, k, monkeypatch):
+        # each of the five labels opens one stream per row, whatever the
+        # vote count, and the row path calls no np.unique
+        params = minimal_params(k=k)
+        a, b = diagonal_joint(20, 20).sample_joint(params.t, rng(9))
+        opened = []
+        stream = SharedRandomness.stream
+        monkeypatch.setattr(SharedRandomness, "stream", lambda self, *args: (
+            opened.append(args) or stream(self, *args)))
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique on the row path")
+        monkeypatch.setattr(np, "unique", no_unique)
+        for tester in (it2p, one_way_it2p):
+            opened.clear()
+            assert tester(a, b, params, 0).decision is Decision.FAR
+            assert len(opened) <= 5 and len(set(opened)) == len(opened)
 
 
 class TestOneWay:

@@ -8,7 +8,7 @@ file pins: IT2p at n=100, closeness at n=500 and hardgen.  The secure
 reference's and two-way IT2p's CSV rows hold only verdicts, modeled bits and
 lambda, and at these cells most of them come out the same at both seeds, so
 their per-vote internals (delta1, delta2, tau, headroom; the pool, live
-letters and subsets) are pinned too.
+letters, subsets, chi, delta and tau) are pinned too.
 """
 
 import hashlib
@@ -49,21 +49,21 @@ CSV_SHA256 = {
     ("secure-closeness", "closeness-secure", 200, 7):
         "ad8a12e41fdc97aa0458da704a6680ffeaaf303ba24ee5bf261491c82d091672",
     ("independence", "independence", 20, 1):
-        "b086d9dcbbfa0a49af1738191372c901a73a222ffcb6513f6ed6a82ec99c7754",
+        "6773ce495dc4431d2e31afa6afd70f4a4afb9b875f8ae37389d8dd6baa14f002",
     ("independence", "independence", 100, 1):
         "84c90c8b0768fa1a7b1f430283ca4e5c0db56beaa167612e5d068f1d6747deb5",
     ("independence", "independence-oneway", 20, 1):
-        "f7960e911c74385008ffd147cfa3ecc77bf0e856002c9de6bbc037112dbcba50",
+        "37476bbfc8d3054c4ee0bca1a17a5621538b5acbdfab6c13111ac76fd07ae91c",
     ("independence", "independence-oneway", 100, 1):
-        "964bbc4af7c1d476088a7feb5c0f630ac57974ef933319a0543730c65824f5a3",
+        "fe9a58d8d61fa799634a6c47e128141fffe5bc7605c45261ab7653326a5dae84",
     ("independence", "independence", 20, 7):
         "b086d9dcbbfa0a49af1738191372c901a73a222ffcb6513f6ed6a82ec99c7754",
     ("independence", "independence", 100, 7):
         "84c90c8b0768fa1a7b1f430283ca4e5c0db56beaa167612e5d068f1d6747deb5",
     ("independence", "independence-oneway", 20, 7):
-        "7ae28cbb8a643963ffcf75f8e455ed9b5d23f196d75bced3b1e6ec2ee7bc65ab",
+        "0a9de4f9c5bd6b8b6f84d1b19a5d113018878e57e80626eba36d7a3e5ddf189b",
     ("independence", "independence-oneway", 100, 7):
-        "e4a08811f519f2746e9469475ff391f36cc3723c9a353541b64fb7fc61199714",
+        "dff59616428b0d9c3f39c51e717a15e4bd4e155b96a3799d253352b16821b9b7",
     ("hardgen", "hardgen", 2000, 1):
         "725e1e94fca5543c5af781eee105743ad816890d52cdfdcb7c46a7bb4bf6425a",
     ("hardgen", "hardgen", 2000, 7):
@@ -78,13 +78,13 @@ VOTE_SHA256 = {
     ("closeness-secure", 200, 7):
         "ca89b4fdbb846b4d638bc0828ef2fc130daa43b118abb883fa0b66e1cd1f408c",
     ("independence", 20, 1):
-        "7c9ff0e5d94e29877ca81a1a70d1c017c92244c09935d3c817b2fa11f934a749",
+        "bea830bf15226ba4a4c01c96e7f751ff7e5a0efccc2af7eb3a1c076f3aed0e40",
     ("independence", 20, 7):
-        "1916d8acdb100b99c8f5ffb4f45ecc76299315f9f9d1e991a110519d248c30c3",
+        "7768afd32b61d2a3cb2db4e12d61bd772c31a7925aeb302cee23ac66849edaa6",
     ("independence", 100, 1):
-        "87f4e07271c2aaccfdbfb926991eda9a8d6dd1bb1311c259281741807d037c1a",
+        "4cc34cfa830a0b91382b65d69b88229fe6fae866c33772239dddd0529d3a18af",
     ("independence", 100, 7):
-        "73961111e3e2c5ec40b8c7922fafd4b0cfc704bb605428562d5153c1dc7be46b",
+        "7530ee9f63cfe4869e833fae7942029f2b54b419b63092f27d2fa97b12f69e1b",
 }
 
 
@@ -138,6 +138,7 @@ def vote_digest(protocol: str, n: int, seed: int) -> str:
             for array in (rep.sm_a.bucket_counts, rep.live, rep.pool,
                           rep.a_letters, *rep.subsets):
                 digest.update(np.asarray(array, dtype=np.int64).tobytes())
+            digest.update(struct.pack("<?2d", rep.chi, rep.delta, rep.tau))
             digest.update(rep.vote.value.encode())
     return digest.hexdigest()
 

@@ -1,11 +1,15 @@
-"""Source hygiene: no module under ``src/`` keeps an unused top-level import."""
+"""Source and tooling hygiene: no module under ``src/`` keeps an unused
+top-level import, and a failing property test fails the session."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).parents[1] / "src"
+ROOT = pathlib.Path(__file__).parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -49,3 +53,20 @@ def test_modules_found():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_failing_property_test_fails_the_session(tmp_path):
+    # pytest under this project's warning filters: a failed @given test is
+    # a test failure (exit 1), not an internal error (exit 3)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+         "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
