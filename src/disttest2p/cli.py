@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import math
@@ -72,20 +73,37 @@ class Protocol:
     runner: Callable
 
 
+@functools.lru_cache(maxsize=4)  # no benchmark workload uses more laws
+def _instance_law(law: str, n: int, m: int, eps: float):
+    """The instance law ``uniform`` or ``far`` (closeness, over ``n``
+    letters) or ``product`` or ``diagonal`` (independence, over ``n x m``),
+    built once per process for each argument tuple and kept with its
+    sampling tables.  Laws are immutable, so every row shares one; a refused
+    law raises on each call, as a raise is never cached."""
+    if law == "uniform":
+        return dist.uniform_distribution(n)
+    if law == "far":
+        return far_instance(n, eps)
+    if law == "product":
+        return product_joint(dist.uniform_distribution(n),
+                             dist.uniform_distribution(m))
+    _check_far_eps(n, m, eps)
+    return diagonal_joint(n, m)
+
+
 def _closeness_samples(cell, family, params, rng):
-    a = dist.uniform_distribution(cell["n"])
-    b = a if family == "same" else far_instance(cell["n"], cell["eps"])
+    n, eps = cell["n"], cell["eps"]
+    a = _instance_law("uniform", n, 0, 0.0)
+    b = a if family == "same" else _instance_law("far", n, 0, eps)
     return dist.sample(a, cell["t"], rng), dist.sample(b, cell["t"], rng)
 
 
 def _joint_samples(cell, family, params, rng):
     n, m = cell["n"], cell["m"]
     if family == "product":
-        joint = product_joint(dist.uniform_distribution(n),
-                              dist.uniform_distribution(m))
+        joint = _instance_law("product", n, m, 0.0)
     else:
-        _check_far_eps(n, m, cell["eps"])
-        joint = diagonal_joint(n, m)
+        joint = _instance_law("diagonal", n, m, cell["eps"])
     return joint.sample_joint(cell["t"], rng)
 
 

@@ -10,11 +10,20 @@ and leaves that array writeable: a caller who goes on to write to it changes
 the container too.  The one object that holds a generator is
 :class:`SplitOccurrenceMatrix`: it draws each of its rows on first read and
 keeps it, so a row costs a draw only if it is read.
+
+A :class:`Distribution` is a law and the tables that draw from it: on its
+first draw it builds an :class:`InverseCdf` (the cdf at its support, a guide
+table with marked buckets and, for a law with zeros, the support's letters,
+all read-only) and keeps it, so a law drawn from many times builds them
+once.  The tables are copies: a write to the array under ``probs`` after
+the first draw does not reach them.  A joint law keeps its tables the same
+way, with the row and the column of each support cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +47,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probability vector must be 1-D and non-empty")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if p.min() < 0:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
@@ -47,6 +58,10 @@ class Distribution:
     @property
     def n(self) -> int:
         return self.probs.size
+
+    @cached_property  # the law's inverse-cdf tables, built on its first draw
+    def sampler(self) -> InverseCdf:
+        return InverseCdf(self.probs)
 
 
 @dataclass(frozen=True)
@@ -137,47 +152,105 @@ def uniform_distribution(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
 
 
-_GUIDE_STEPS = 4  # forward steps before a draw falls back to binary search
+_CHUNK = 8192  # draws per pass: the temporaries stay small and in cache
+
+
+class InverseCdf:
+    """``rng.choice(probs.size, size=t, p=probs.ravel())``, bit for bit,
+    from tables built once per law, in O(1) expected time per draw.
+
+    ``probs`` is a validated probability array of any shape, read in C
+    order.  Like ``Generator.choice`` a draw inverts ``cdf = cumsum(probs) /
+    total`` at uniforms from ``rng.random``, returning ``#{i : cdf[i] <= u}``;
+    an indexed search replaces the binary search (Chen and Asau 1974;
+    Devroye 1986, III.2).  The answer is always a cell where the cdf rises,
+    hence of positive probability, so only the support is kept: the cdf
+    values ``c`` at its cells and the cells' coordinates.  The guide cuts
+    ``[0, 1)`` into ``k`` buckets, two per support cell rounded up to a
+    power of two (so ``c*k`` and ``u*k`` are exact): ``guide[b]`` counts the
+    ``c`` at most ``b/k``, which is the answer of a draw in bucket ``b``
+    unless some ``c`` lies strictly inside it.  Such buckets are marked: a
+    draw in a bucket holding one ``c`` takes one step forward if ``c <= u``,
+    and a draw in a bucket holding more is binary searched.  Every array is
+    read-only.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        cdf = np.cumsum(probs, dtype=np.float64)
+        cdf /= cdf[-1]
+        support = np.flatnonzero(probs)
+        c = cdf[support]
+        k = 2 << (c.size - 1).bit_length()
+        ck = c * k
+        starts = np.bincount(np.ceil(ck).astype(np.intp), minlength=k + 1)
+        inside = np.floor(ck)
+        inside = np.bincount(inside[inside != ck].astype(np.intp), minlength=k)
+        self.k = k
+        self.cdf = _readonly(c)
+        self.guide = _readonly(np.cumsum(starts[:k], dtype=np.int64))
+        # cdf values strictly inside each bucket: none, one, or more (2)
+        self.marks = _readonly(np.minimum(inside, 2).astype(np.uint8))
+        self.crowded = bool(inside.max() > 1)  # some draws binary search
+        self.ndim = probs.ndim
+        # each support cell's coordinates, one table per axis; a vector
+        # drawn on its whole alphabet needs none, as a cell is its letter
+        full_vector = probs.ndim == 1 and c.size == probs.size
+        self.cells = () if full_vector else tuple(
+            _readonly(axis.astype(np.int64, copy=False))
+            for axis in np.unravel_index(support, probs.shape))
+
+    def draw(self, t: int, rng: np.random.Generator) -> tuple:
+        """``t`` draws as their coordinates, one int64 array per axis.
+
+        Above ``_CHUNK`` draws the uniforms come in passes of ``_CHUNK``,
+        each filled by ``rng.random``: the stream of one ``rng.random(t)``
+        call, read with temporaries that stay small.
+        """
+        if t <= _CHUNK:
+            return self._coordinates(rng.random(t))
+        out = tuple(np.empty(t, dtype=np.int64) for _ in range(self.ndim))
+        u = np.empty(_CHUNK)
+        for start in range(0, t, _CHUNK):
+            chunk = u[:min(_CHUNK, t - start)]
+            rng.random(out=chunk)
+            for axis, coordinate in zip(out, self._coordinates(chunk)):
+                axis[start:start + chunk.size] = coordinate
+        return out
+
+    def _coordinates(self, u: np.ndarray) -> tuple:
+        """The coordinates of the cells that the uniforms ``u`` draw; ``u``
+        is scaled in place."""
+        c, k = self.cdf, self.k
+        u *= k  # exact: k is a power of two
+        buckets = u.astype(np.intp)
+        cell = self.guide.take(buckets)
+        marks = self.marks.take(buckets)
+        live = np.flatnonzero(marks != 0)  # a bool array finds them fastest
+        u_live = u.take(live) / k
+        step = cell.take(live)
+        step += c.take(step) <= u_live
+        if self.crowded:
+            search = np.flatnonzero(marks.take(live) == 2)
+            step[search] = np.searchsorted(c, u_live[search], side="right")
+        cell[live] = step
+        if not self.cells:
+            return (cell,)
+        return tuple(table.take(cell) for table in self.cells)
 
 
 def draw(probs: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(probs.size, size=t, p=probs)``, bit for bit, O(1) per draw.
-
-    ``probs`` is a validated probability vector.  Like ``Generator.choice``
-    this inverts ``cdf = cumsum(probs) / total`` at ``t`` uniforms from one
-    ``rng.random(t)`` call, returning ``#{i : cdf[i] <= u}``; it replaces the
-    binary search with an indexed search (Chen and Asau 1974; Devroye 1986,
-    III.2).  The answer is always a position where the cdf rises, hence of
-    positive probability, so only the cdf values ``c`` there are searched.
-    ``guide[b]`` counts the ``c`` at most ``b/k`` for ``k`` a power of two
-    (so ``c*k`` and ``u*k`` are exact), which starts the draw ``u`` in
-    bucket ``floor(u*k)`` at or before its answer; a few steps forward
-    finish nearly every draw and a binary search the rest.
-    """
-    cdf = np.cumsum(probs, dtype=np.float64)
-    cdf /= cdf[-1]
-    support = np.flatnonzero(probs)
-    c = cdf[support]
-    k = 1 << (c.size - 1).bit_length()
-    guide = np.cumsum(np.bincount(np.ceil(c * k).astype(np.intp)))
-    u = rng.random(t)
-    idx = guide[(u * k).astype(np.intp)]
-    live = np.flatnonzero(c[idx] <= u)
-    for _ in range(_GUIDE_STEPS):
-        if live.size == 0:
-            break
-        idx[live] += 1
-        live = live[c[idx[live]] <= u[live]]
-    else:
-        idx[live] = np.searchsorted(c, u[live], side="right")
-    return support[idx].astype(np.int64, copy=False)
+    """``rng.choice(probs.size, size=t, p=probs)``, bit for bit: the letters
+    drawn by a sampler built for this one call (see :class:`InverseCdf`)."""
+    (letters,) = InverseCdf(probs).draw(t, rng)
+    return letters
 
 
 def sample(dist: Distribution, t: int, rng: np.random.Generator) -> IndexedSampleSet:
     """Draw ``t`` i.i.d. samples from ``dist``; deterministic given rng state."""
     if t < 0:
         raise ValueError("sample count must be nonnegative")
-    return IndexedSampleSet(draw(dist.probs, t, rng), dist.n)
+    (letters,) = dist.sampler.draw(t, rng)
+    return IndexedSampleSet(letters, dist.n)
 
 
 def poisson_sample(lam: float, rng: np.random.Generator) -> int:

@@ -35,8 +35,8 @@ from .closeness import norm_estimates_agree, threshold_tau
 from .dist import (
     Distribution,
     IndexedSampleSet,
+    InverseCdf,
     SplitMap,
-    draw,
     split_samples,
 )
 from .harness import (
@@ -129,12 +129,14 @@ class JointDistribution:
         outer = np.outer(self.marginal_rows().probs, self.marginal_cols().probs)
         return float(np.abs(self.probs - outer).sum())
 
+    @cached_property  # the law's inverse-cdf tables, built on its first draw
+    def sampler(self) -> InverseCdf:
+        return InverseCdf(self.probs)
+
     def sample_joint(self, t: int, rng: np.random.Generator
                      ) -> tuple[IndexedSampleSet, IndexedSampleSet]:
         """t index-aligned draws; sample i is one joint draw shared by Alice/Bob."""
-        flat = draw(self.probs.ravel(), t, rng)
-        rows = flat // self.m  # int64 floor division is far cheaper than %
-        cols = flat - rows * self.m
+        rows, cols = self.sampler.draw(t, rng)
         return IndexedSampleSet(rows, self.n), IndexedSampleSet(cols, self.m)
 
 

@@ -2,19 +2,23 @@
 
 import csv
 import os
+from collections import Counter
 import pathlib
 import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from disttest2p import cli
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
     _geomean,
+    _instance_law,
     _parse_overrides,
     calibrate,
     fixture_from_text,
@@ -116,6 +120,78 @@ class TestRunExperiment:
         ok = [r for r in run_experiment(cfg) if r.status == "ok"]
         assert len(ok) == 4
         assert {r.verdict for r in ok} <= {"SAME", "FAR"}
+
+
+class TestInstanceLaws:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the law constructors' calls by (constructor, arguments),
+        from an empty memo."""
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):  # a marginal law is counted by its size
+                calls[(name, *(getattr(a, "n", a) for a in args))] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli.dist, "uniform_distribution")
+        for name in ("far_instance", "product_joint", "diagonal_joint"):
+            counted(cli, name)
+        _instance_law.cache_clear()
+        yield calls
+        _instance_law.cache_clear()
+
+    def test_each_law_built_once(self, builds):
+        closeness = small_cfg(ns=(20,), ts=(300,), epss=(0.5, 1.0))
+        independence = ExperimentConfig(
+            protocol="independence", ns=(20,), ms=(20,), ts=(8000,),
+            epss=(1.0,), ks=(1,), trials=2, seed=3)
+        for cfg in (closeness, closeness, independence, independence):
+            rows = list(run_experiment(cfg))
+            assert {r.status for r in rows} == {"ok", "summary"}
+        # five laws in all: the memo kept the last four
+        assert _instance_law.cache_info().currsize == 4
+        # the product law builds its own uniform marginals, once
+        assert dict(builds) == {
+            ("uniform_distribution", 20): 3, ("far_instance", 20, 0.5): 1,
+            ("far_instance", 20, 1.0): 1, ("product_joint", 20, 20): 1,
+            ("diagonal_joint", 20, 20): 1}
+
+    def test_held_laws_read_only(self, builds):
+        list(run_experiment(small_cfg(ns=(20,), ts=(300,))))
+        uniform = _instance_law("uniform", 20, 0, 0.0)
+        far = _instance_law("far", 20, 0, 1.0)
+        product = _instance_law("product", 5, 4, 0.0)
+        diagonal = _instance_law("diagonal", 5, 4, 1.0)
+        for joint in (product, diagonal):
+            joint.sample_joint(1, np.random.default_rng(0))
+        assert sum(builds.values()) == 2 + 4  # the joint laws and marginals
+        arrays = []
+        for law in (uniform, far, product, diagonal):
+            sampler = law.sampler
+            arrays += [law.probs, sampler.cdf, sampler.guide, sampler.marks,
+                       *sampler.cells]
+        # the uniform law draws letters without a cell table
+        assert len(arrays) == 4 * 4 + 0 + 1 + 2 + 2
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_refused_law_refused_every_time(self, builds):
+        # a raise is never memoized: each far row is skipped with the reason
+        cfg = ExperimentConfig(protocol="independence", ns=(2,), ms=(2,),
+                               ts=(2000,), epss=(1.5,), ks=(1,), trials=3,
+                               seed=1)
+        runs = [[(r.family, r.status, r.reason) for r in run_experiment(cfg)
+                 if r.status != "summary"] for _ in range(2)]
+        assert runs[0] == runs[1]
+        far = [row for row in runs[0] if row[0] == "far"]
+        assert len(far) == 3
+        assert all(status == "skipped" and "above 1, the distance of the far "
+                   "instance" in reason for _, status, reason in far)
+        assert builds[("product_joint", 2, 2)] == 1
+        assert builds[("diagonal_joint", 2, 2)] == 0
 
 
 class TestFixtures:

@@ -44,6 +44,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Distribution([])
 
+    @pytest.mark.parametrize("probs", [
+        [math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 1.0],
+        [-math.inf, 1.0], [math.nan] * 3,
+    ], ids=["nan-first", "nan-last", "inf", "minus-inf", "all-nan"])
+    def test_non_finite_refused(self, probs):
+        # NaN passes both the sign and the sum test; it is refused on its own
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(probs)
+
     def test_distribution_immutable(self):
         p = uniform_distribution(4)
         with pytest.raises(ValueError):
@@ -152,6 +161,54 @@ class TestDraw:
         p = Distribution(np.array([0.5, 0.0, 0.25, 0.25]))
         assert np.array_equal(sample(p, 300, rng(4)).letters,
                               _same_as_choice(p.probs, 300, seed=4))
+
+    @pytest.mark.parametrize("probs, once, crowded", [
+        # every cdf value on a bucket edge: no draw steps forward
+        (np.array([0.25, 0.25, 0.5]), 0, 0),
+        (uniform_distribution(8).probs, 0, 0),
+        # every cdf value but the last strictly inside its own bucket
+        (np.array([0.1, 0.2, 0.3, 0.4]), 3, 0),
+        (uniform_distribution(3).probs, 2, 0),
+        (np.array([0.0, 1 / 3, 0.0, 1 / 3, 1 / 3, 0.0]), 2, 0),
+        # two cdf values inside the first bucket: its draws binary search
+        (np.array([0.05, 0.05, 0.9]), 0, 1),
+    ], ids=["quarters", "uniform-8", "tenths", "uniform-3", "thirds-sparse",
+            "crowded"])
+    def test_bucket_edges(self, probs, once, crowded):
+        marks = dist.InverseCdf(probs).marks
+        assert (np.count_nonzero(marks == 1), np.count_nonzero(marks == 2)) \
+            == (once, crowded)
+        for seed in range(3):
+            _same_as_choice(probs, 5000, seed)
+
+    def test_uniform_on_a_cdf_value(self):
+        # choice's search is right-sided: u == cdf[i] draws past letter i
+        # (and past the zero after it); random draws almost never hit one
+        probs = np.array([0.1, 0.2, 0.0, 0.3, 0.4])
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]  # as Generator.choice normalizes it
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0), [0.0]])
+
+        class Fixed:
+            def random(self, size):
+                return u[:size].copy()
+
+        assert np.array_equal(dist.draw(probs, u.size, Fixed()),
+                              np.searchsorted(cdf, u, side="right"))
+
+    @given(weights=_WEIGHTS, t1=st.sampled_from([0, 1, 700]),
+           t2=st.sampled_from([1, 3000, 20_000]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_held_sampler_matches_choice(self, weights, t1, t2, seed):
+        # one law drawn from twice: its held tables against choice on the
+        # continued generator
+        w = np.array(weights)
+        law = Distribution(w / w.sum())
+        ours, numpys = rng(seed), rng(seed)
+        for t in (t1, t2):
+            got = sample(law, t, ours).letters
+            assert np.array_equal(got, numpys.choice(law.n, size=t, p=law.probs))
+        assert law.sampler is law.sampler
+        assert ours.random() == numpys.random()
 
 
 def _weighted_choice_lines(source: str) -> list[int]:

@@ -192,15 +192,20 @@ class TestJointDistribution:
         diagonal_joint(100, 100),
         product_joint(uniform_distribution(20), uniform_distribution(20)),
         JointDistribution(np.array([[0.5, 0.0], [1e-300, 0.5]])),
+        product_joint(uniform_distribution(100), uniform_distribution(100)),
+        far_joint(100, 100, 1.0),
+        diagonal_joint(12, 5),
     ])
     def test_sample_joint_matches_choice(self, joint):
-        # the draw is Generator.choice's over the flattened cells, bit for bit
+        # the draw is Generator.choice's over the flattened cells, bit for
+        # bit, and stays so on a second draw from the law's held tables
         ours, numpys = rng(8), rng(8)
-        a, b = joint.sample_joint(40_000, ours)
-        flat = numpys.choice(joint.n * joint.m, size=40_000,
-                             p=joint.probs.ravel())
-        assert np.array_equal(a.letters, flat // joint.m)
-        assert np.array_equal(b.letters, flat % joint.m)
+        for t in (40_000, 777):
+            a, b = joint.sample_joint(t, ours)
+            flat = numpys.choice(joint.n * joint.m, size=t,
+                                 p=joint.probs.ravel())
+            assert np.array_equal(a.letters, flat // joint.m)
+            assert np.array_equal(b.letters, flat % joint.m)
         assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("probs", [
@@ -208,7 +213,8 @@ class TestJointDistribution:
         [[0.25, 0.25], [0.25, 0.25 + 1e-6]],
         [0.5, 0.5],
         np.zeros((0, 3)),
-    ], ids=["negative", "sum-off-by-1e-6", "1-d", "empty"])
+        [[0.5, np.nan], [0.25, 0.25]],
+    ], ids=["negative", "sum-off-by-1e-6", "1-d", "empty", "nan"])
     def test_bad_matrix_refused(self, probs):
         with pytest.raises(ValueError):
             JointDistribution(np.asarray(probs, dtype=np.float64))
@@ -218,6 +224,17 @@ class TestJointDistribution:
         assert joint.probs.shape == (2, 3)
         with pytest.raises(ValueError):
             joint.probs[0, 0] = 1.0
+
+    @pytest.mark.parametrize("joint", [
+        product_joint(uniform_distribution(3), uniform_distribution(2)),
+        diagonal_joint(4, 3),
+    ], ids=["full", "sparse"])
+    def test_sampler_holds_each_cells_row_and_column(self, joint):
+        assert joint.sampler is joint.sampler  # built once, on the first read
+        cells = np.flatnonzero(joint.probs)
+        rows, cols = joint.sampler.cells
+        assert np.array_equal(rows, cells // joint.m)
+        assert np.array_equal(cols, cells % joint.m)
 
     def test_sample_joint_index_aligned(self):
         joint = diagonal_joint(10, 10)

@@ -1,5 +1,6 @@
 """Source and tooling hygiene: no module under ``src/`` keeps an unused
-top-level import, and a failing property test fails the session."""
+top-level import, every memo under ``src/`` is a listed decision, and a
+failing property test fails the session."""
 
 import ast
 import pathlib
@@ -53,6 +54,80 @@ def test_modules_found():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
+
+# Every memo under src/, by module and qualified name, with why it is kept.
+MEMOS = {
+    "cli._instance_law": "an instance law and its sampling tables are built "
+                         "once per process, not once per row",
+    "dist.Distribution.sampler": "a law's inverse-cdf tables are built on its "
+                                 "first draw, not on every draw",
+    "harness._label_code": "a pure function of a stream label, hashed on "
+                           "every stream a row opens",
+    "independence.ITParams.t_prime": "read by every derived size; a refused "
+                                     "call caches nothing",
+    "independence.ITParams.ell_target": "read by the vote kernel and the "
+                                        "closed-form bit counts",
+    "independence.JointDistribution.sampler": "a joint law's tables and each "
+                                              "cell's row and column, built on "
+                                              "its first draw",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_memo(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in MEMO_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in MEMO_NAMES)
+
+
+def memos(source: str, module: str) -> list[str]:
+    """Where ``source`` names ``functools.cache``, ``lru_cache`` or
+    ``cached_property``: the qualified name of each function a decorator
+    memoizes, and ``scope:line`` of any other use (an import excepted)."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+
+    def scope(node) -> str:
+        names = []
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, _DEFS):
+                names.append(node.name)
+        return ".".join([module, *reversed(names)])
+
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        for decorator in getattr(node, "decorator_list", []):
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            if _is_memo(decorator):
+                found.append(f"{scope(node)}.{node.name}")
+                decorators.add(decorator)
+    found += [f"{scope(node)}:{node.lineno}" for node in ast.walk(tree)
+              if _is_memo(node) and node not in decorators]
+    return sorted(found)
+
+
+def test_the_check_sees_a_planted_memo():
+    source = ("import functools\nfrom functools import cached_property\n"
+              "@functools.lru_cache(maxsize=2)\ndef f(x):\n    return x\n"
+              "class A:\n    @cached_property\n    def b(self):\n"
+              "        return 1\n    def c(self):\n"
+              "        return functools.cache(len)\n"
+              "@functools.wraps(f)\ndef g():\n    pass\n"
+              "h = functools.cache(g)\n")
+    assert memos(source, "m") == ["m.A.b", "m.A.c:11", "m.f", "m:15"]
+
+
+def test_every_memo_is_listed():
+    found = {name for path in MODULES
+             for name in memos(path.read_text(encoding="utf-8"),
+                               path.stem)}
+    assert found == set(MEMOS)
 
 
 def test_a_failing_property_test_fails_the_session(tmp_path):
