@@ -266,19 +266,6 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
 # Secure-variant reference computation
 
 
-def split_occurrences_from_matrix(matrix: SplitOccurrenceMatrix,
-                                  bucket_counts: np.ndarray) -> np.ndarray:
-    """Assemble the full split occurrence vector from matrix rows.
-
-    ``bucket_counts[i]`` is the number of buckets letter ``i`` splits into;
-    the result is the concatenation of rows ``(i, bucket_counts[i])`` in
-    letter order, i.e. the occurrence vector over the split alphabet realized
-    by this matrix's random recasts.
-    """
-    return np.concatenate([matrix.row(i, int(bucket_counts[i]))
-                           for i in range(len(bucket_counts))])
-
-
 def capped_split_adjustment(a, b, s, level: int,
                             a_matrix: SplitOccurrenceMatrix,
                             b_matrix: SplitOccurrenceMatrix):

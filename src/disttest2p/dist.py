@@ -238,13 +238,6 @@ class InverseCdf:
         return tuple(table.take(cell) for table in self.cells)
 
 
-def draw(probs: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(probs.size, size=t, p=probs)``, bit for bit: the letters
-    drawn by a sampler built for this one call (see :class:`InverseCdf`)."""
-    (letters,) = InverseCdf(probs).draw(t, rng)
-    return letters
-
-
 def sample(dist: Distribution, t: int, rng: np.random.Generator) -> IndexedSampleSet:
     """Draw ``t`` i.i.d. samples from ``dist``; deterministic given rng state."""
     if t < 0:
@@ -253,32 +246,11 @@ def sample(dist: Distribution, t: int, rng: np.random.Generator) -> IndexedSampl
     return IndexedSampleSet(letters, dist.n)
 
 
-def poisson_sample(lam: float, rng: np.random.Generator) -> int:
-    """One draw from Poisson(lam).
-
-    Backed by the generator's exact sampler (inversion for small rates, a
-    transformed-rejection method above).  numpy takes rates up to
-    ``2**63 - 10 * sqrt(2**63)``, about 9.22e18, and raises ``ValueError``
-    ("lam value too large") above.
-    """
-    if lam < 0:
-        raise ValueError("rate must be nonnegative")
-    return int(rng.poisson(lam))
-
-
 def split_map(s: OccurrenceVector, n: int) -> SplitMap:
     """Bucket counts ``a_i = 1 + multiplicity of i in S``."""
     if s.n != n:
         raise ValueError("multiset alphabet does not match")
     return SplitMap(1 + s.counts)
-
-
-def split_distribution(p: Distribution, sm: SplitMap) -> Distribution:
-    """Distribution over the split alphabet: bucket ``(i, j)`` gets ``p_i / a_i``."""
-    if p.n != sm.n:
-        raise ValueError("mismatched alphabets")
-    per_bucket = p.probs / sm.bucket_counts
-    return Distribution(np.repeat(per_bucket, sm.bucket_counts))
 
 
 def split_samples(letters: np.ndarray, sm: SplitMap,
@@ -338,16 +310,6 @@ def split_occurrence_matrix(x: OccurrenceVector, max_buckets: int,
     """The split rows of ``x`` up to ``max_buckets`` buckets, drawn from ``rng``
     as they are read."""
     return SplitOccurrenceMatrix(x, max_buckets, rng)
-
-
-def l1_distance(p: Distribution, q: Distribution) -> float:
-    if p.n != q.n:
-        raise ValueError("mismatched alphabets")
-    return float(np.abs(p.probs - q.probs).sum())
-
-
-def l2_norm_sq(p: Distribution) -> float:
-    return float(np.dot(p.probs, p.probs))
 
 
 # ---------------------------------------------------------------------------

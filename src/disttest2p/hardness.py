@@ -2,11 +2,12 @@
 
 ``ghd_reduce`` embeds a gap-Hamming input into a pair of Poissonized
 occurrence vectors whose law is close to genuine samples from a planted
-same/far distribution pair; ``ghd_reference_sampler`` draws from those
-planted distributions directly and is the oracle the reduction is validated
-against.  ``bhh_reduce`` turns a hidden-matching instance into an unbounded
-stream of index-aligned sample pairs that are exactly product (hidden bit 1)
-or maximally far from product (hidden bit 0).
+same/far distribution pair; the oracle that draws from those planted
+distributions directly, which the reduction is validated against, is
+``ghd_reference_sampler`` in ``tests/laws.py``.  ``bhh_reduce`` turns a
+hidden-matching instance into an unbounded stream of index-aligned sample
+pairs that are exactly product (hidden bit 1) or maximally far from product
+(hidden bit 0).
 
 ``GHDReductionParams`` writes every Poisson rate of the occurrence-vector
 construction once, into one table that is checked for nonnegativity at
@@ -272,39 +273,6 @@ def ghd_reduce(inp: GHDInput, params: GHDReductionParams,
     return a, b
 
 
-def ghd_reference_sampler(case: str, params: GHDReductionParams, delta: int,
-                          rng: np.random.Generator):
-    """Sample the planted (a, b) pair directly: the reduction's oracle.
-
-    Both distributions put half their mass uniformly on ``d`` dense letters
-    and half on ``l_big`` shared large letters; in the FAR case the dense
-    supports overlap in ``d (beta - delta) / beta`` letters.
-    """
-    if case == "SAME":
-        delta = 0
-    elif not 0 < delta <= params.beta:
-        raise ValueError("far case needs 0 < delta <= beta")
-    d, l = params.d, params.l_big
-    overlap = d if case == "SAME" else round(d * (params.beta - delta) / params.beta)
-    extra = d - overlap
-    if d + l + extra > params.n:
-        raise ConfigError("supports do not fit in the alphabet")
-
-    probs_a = np.zeros(params.n)
-    probs_b = np.zeros(params.n)
-    probs_a[:d] = 1.0 / (2 * d)
-    probs_b[:overlap] = 1.0 / (2 * d)
-    probs_b[d:d + extra] = 1.0 / (2 * d)
-    probs_a[d + extra:d + extra + l] = 1.0 / (2 * l)
-    probs_b[d + extra:d + extra + l] = 1.0 / (2 * l)
-
-    counts_a = rng.multinomial(rng.poisson(params.t), probs_a)
-    counts_b = rng.multinomial(rng.poisson(params.t), probs_b)
-    perm = rng.permutation(params.n)
-    return (OccurrenceVector(counts_a[perm].astype(np.int64)),
-            OccurrenceVector(counts_b[perm].astype(np.int64)))
-
-
 # ---------------------------------------------------------------------------
 # Boolean hidden matching -> independence
 
@@ -361,33 +329,3 @@ def bhh_reduce(inst: BHHInstance, t: int, rng: np.random.Generator
     bob = np.where(coin == 1, r, inst.mate[r])
     return (IndexedSampleSet(alice.astype(np.int64), n),
             IndexedSampleSet(bob.astype(np.int64), n))
-
-
-# ---------------------------------------------------------------------------
-# Poissonization validator
-
-
-def poisson_multinomial_tv_check(n: int, p_vec, trials: int,
-                                 rng: np.random.Generator) -> float:
-    """Empirical TV between Mult(n; p) and the independent-Poisson vector.
-
-    Both sides are drawn ``trials`` times and compared as histograms over
-    count tuples; the estimate converges to the true TV from above as trials
-    grow.
-    """
-    p_vec = np.asarray(p_vec, dtype=np.float64)
-    if p_vec.ndim != 1 or p_vec.size < 1:
-        raise ValueError("probability vector must be 1-D and non-empty")
-    if np.any(p_vec < 0) or p_vec.sum() > 1 + 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to <= 1")
-    rest = max(0.0, 1.0 - float(p_vec.sum()))
-    full = np.concatenate(([rest], p_vec))
-    mult = rng.multinomial(n, full / full.sum(), size=trials)[:, 1:]
-    pois = rng.poisson(lam=n * p_vec, size=(trials, p_vec.size))
-    both = np.vstack([mult, pois])
-    _, inverse = np.unique(both, axis=0, return_inverse=True)
-    f_m = np.bincount(inverse[:trials])
-    f_p = np.bincount(inverse[trials:], minlength=f_m.size)
-    if f_p.size > f_m.size:
-        f_m = np.pad(f_m, (0, f_p.size - f_m.size))
-    return float(0.5 * np.abs(f_m / trials - f_p / trials).sum())

@@ -56,34 +56,6 @@ from .harness import (
 from .sketch import collision_norm_estimate
 
 
-def conditioned(p: Distribution, letters) -> Distribution:
-    """``p`` restricted to the letter set and renormalized.
-
-    The output alphabet is the given letters in ascending order.
-    """
-    letters = np.unique(np.asarray(letters, dtype=np.int64))
-    if letters.size == 0:
-        raise ValueError("conditioning set is empty")
-    if letters.min() < 0 or letters.max() >= p.n:
-        raise ValueError("letter out of range")
-    mass = float(p.probs[letters].sum())
-    if mass <= 0:
-        raise ValueError("conditioning set has zero mass")
-    return Distribution(p.probs[letters] / mass)
-
-
-def usi_sample(n: int, alpha: int, beta: int, rng: np.random.Generator) -> int:
-    """Draw ``|S1 ∩ S2|`` for a fixed alpha-subset and uniform beta-subset of [n].
-
-    The law of the live-letter count before the cap in :func:`_alice_half`.
-    """
-    if alpha > n or beta > n:
-        raise ValueError("subset sizes cannot exceed the ground set")
-    if alpha == 0 or beta == 0:
-        return 0
-    return int(rng.hypergeometric(ngood=alpha, nbad=n - alpha, nsample=beta))
-
-
 def indices_set_vector(letters: np.ndarray, n: int) -> tuple:
     """Per-letter sets of sample indices, the inverse of a sample set's
     letters (each below ``n``): ``(order, boundaries)``, where ``order``
@@ -172,25 +144,6 @@ def far_joint(n: int, m: int, d: float) -> JointDistribution:
     w = d / bound
     product = np.outer(diag.marginal_rows().probs, diag.marginal_cols().probs)
     return JointDistribution((1 - w) * product + w * diag.probs)
-
-
-def split_joint(joint: JointDistribution, sm_rows: SplitMap,
-                sm_cols: SplitMap) -> JointDistribution:
-    """Joint law after splitting rows by ``sm_rows`` and columns by ``sm_cols``."""
-    per_bucket = joint.probs / np.outer(sm_rows.bucket_counts,
-                                        sm_cols.bucket_counts)
-    expanded = np.repeat(np.repeat(per_bucket, sm_rows.bucket_counts, axis=0),
-                         sm_cols.bucket_counts, axis=1)
-    return JointDistribution(expanded)
-
-
-def conditioned_rows(joint: JointDistribution, letters) -> JointDistribution:
-    """Joint conditioned on the row letter landing in the given set."""
-    letters = np.unique(np.asarray(letters, dtype=np.int64))
-    mass = float(joint.probs[letters].sum())
-    if mass <= 0:
-        raise ValueError("conditioning set has zero mass")
-    return JointDistribution(joint.probs[letters] / mass)
 
 
 @dataclass(frozen=True)
@@ -494,12 +447,6 @@ def run_repetition(a_split_block, a_block, b_split_block, bp_block, bq_block,
         np.stack((a_split_block, a_block))[None],
         np.stack((b_split_block, bp_block, bq_block))[None], params, shared))
     return rep
-
-
-def it2p_votes(alice: IndexedSampleSet, bob: IndexedSampleSet,
-               params: ITParams, shared: SharedRandomness) -> list[Repetition]:
-    return _repetitions(*_evaluate(_blocks(alice.letters, params),
-                                   _blocks(bob.letters, params), params, shared))
 
 
 def _check_inputs(alice, bob, params):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disttest2p import dist
 from disttest2p.closeness import (
     CTParams,
     SecureCTParams,
@@ -22,18 +21,13 @@ from disttest2p.closeness import (
     distinguish,
     far_instance,
     secure_reference_f,
-    split_occurrences_from_matrix,
     threshold_tau,
 )
 from disttest2p.cli import ExperimentConfig, rows_to_csv, run_experiment
 from disttest2p.dist import (
     Distribution,
     OccurrenceVector,
-    l1_distance,
-    l2_norm_sq,
-    poisson_sample,
     sample,
-    split_distribution,
     split_map,
     split_occurrence_matrix,
     uniform_distribution,
@@ -46,17 +40,24 @@ from disttest2p.hardness import (
     ghd_generate_inputs,
     ghd_reduce,
     ghd_reduce_detailed,
-    ghd_reference_sampler,
-    poisson_multinomial_tv_check,
 )
 from disttest2p.independence import (
     ITParams,
-    conditioned,
-    conditioned_rows,
     diagonal_joint,
     it2p,
     product_joint,
+)
+from laws import (
+    conditioned,
+    conditioned_rows,
+    ghd_reference_sampler,
+    l1_distance,
+    l2_norm_sq,
+    poisson_multinomial_tv_check,
+    poisson_sample,
+    split_distribution,
     split_joint,
+    split_occurrences_from_matrix,
     usi_sample,
 )
 

@@ -24,12 +24,10 @@ from disttest2p.closeness import (
     far_instance,
     secure_reference_f,
     secure_reference_votes,
-    split_occurrences_from_matrix,
     threshold_tau,
 )
 from disttest2p.dist import (
     OccurrenceVector,
-    l1_distance,
     sample,
     split_occurrence_matrix,
     uniform_distribution,
@@ -42,10 +40,12 @@ from disttest2p.harness import (
     Transcript,
 )
 from disttest2p.sketch import RoundedRotation, haar_rotate
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)
+from laws import (
+    l1_distance,
+    rates_agree,
+    rng,
+    split_occurrences_from_matrix,
+)
 
 
 class TestThreshold:
@@ -261,30 +261,6 @@ class TestCappedSplitAdjustment:
                  for _ in range(4000)]
         assert max(draws) <= 0.0
         assert np.mean(draws) == pytest.approx(exact, abs=0.2)
-
-    def test_split_cap_identity_exact(self):
-        # ||A' - B'||^2 + delta_1 == ||A_S - B_S||^2 for the same recast
-        r = rng(6)
-        for _ in range(100):
-            n = int(r.integers(1, 31))
-            a = OccurrenceVector(r.integers(0, 12, n))
-            b = OccurrenceVector(r.integers(0, 12, n))
-            s_a, s_b = (OccurrenceVector.from_letters(
-                r.integers(0, n, int(r.integers(0, 8))), n) for _ in range(2))
-            level = int(r.integers(1, 10))
-            s = OccurrenceVector(s_a.counts + s_b.counts)
-            buckets = 1 + s.counts
-            max_buckets = int(buckets.max())
-            am = split_occurrence_matrix(a, max_buckets, r)
-            bm = split_occurrence_matrix(b, max_buckets, r)
-            delta1 = capped_split_adjustment(a, b, s, level,
-                                             a_matrix=am, b_matrix=bm)
-            a_split = split_occurrences_from_matrix(am, buckets)
-            b_split = split_occurrences_from_matrix(bm, buckets)
-            split_sq = float(((a_split - b_split) ** 2).sum())
-            capped_sq = float(((np.minimum(a.counts, level)
-                                - np.minimum(b.counts, level)) ** 2).sum())
-            assert capped_sq + delta1 == split_sq
 
 
 class TestStackedSplitAdjustment:
@@ -541,13 +517,6 @@ def summary(draws):
     dev_sq = (hits - hits.mean()) ** 2
     return (len(draws) - hits.size, hits.mean(), hits.std() / math.sqrt(hits.size),
             dev_sq.mean(), dev_sq.std() / math.sqrt(hits.size))
-
-
-def rates_agree(x, y):
-    """Two 0/1 samples' rates differ by at most 3 pooled SE."""
-    pooled = (np.sum(x) + np.sum(y)) / (len(x) + len(y))
-    se = math.sqrt(pooled * (1 - pooled) * (1 / len(x) + 1 / len(y)))
-    return abs(np.mean(x) - np.mean(y)) <= 3 * se
 
 
 def law_mismatches(new, old):

@@ -21,14 +21,13 @@ from disttest2p.hardness import (
     ghd_generate_inputs,
     ghd_reduce,
     ghd_reduce_detailed,
-    ghd_reference_sampler,
-    poisson_multinomial_tv_check,
     poisson_pmf,
 )
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)
+from laws import (
+    ghd_reference_sampler,
+    poisson_multinomial_tv_check,
+    rng,
+)
 
 
 FEASIBLE = dict(n=2000, t=62, m=32, beta=8.0, l_big=62)

@@ -17,7 +17,6 @@ from disttest2p.dist import (
     Distribution,
     IndexedSampleSet,
     OccurrenceVector,
-    sample,
     split_map,
     split_samples,
     uniform_distribution,
@@ -37,25 +36,25 @@ from disttest2p.independence import (
     _evaluate,
     _repetitions,
     JointDistribution,
-    conditioned,
-    conditioned_rows,
     diagonal_distance,
     diagonal_joint,
     far_joint,
     indices_set_vector,
     it2p,
-    it2p_votes,
     one_way_it2p,
     product_joint,
     run_repetition,
+)
+from disttest2p.sketch import collision_norm_estimate
+from laws import (
+    conditioned,
+    conditioned_rows,
+    it2p_votes,
+    rates_agree,
+    rng,
     split_joint,
     usi_sample,
 )
-from disttest2p.sketch import collision_norm_estimate
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)
 
 
 def minimal_params(n=20, m=20, eps=1.0, k=2, **kw):
@@ -97,24 +96,6 @@ class TestUSISample:
         assert abs(freq - 2 / 3) < 0.01
         expected = stats.hypergeom(4, 2, 2).pmf(1)
         assert expected == pytest.approx(2 / 3)
-
-    def test_matches_direct_intersection_law(self):
-        # Uniform subset of Gamma of the drawn size vs direct |Gamma ∩ U|:
-        # chi-square p > 0.01 between the two histograms at 1e5 trials.
-        n, a, b, trials = 8, 4, 4, 10 ** 5
-        r = rng(2)
-        gamma = np.arange(a)
-        direct = np.empty(trials, dtype=np.int64)
-        viamu = np.empty(trials, dtype=np.int64)
-        for i in range(trials):
-            u = r.choice(n, size=b, replace=False)
-            direct[i] = np.intersect1d(gamma, u).size
-            viamu[i] = usi_sample(n, a, b, r)
-        table = np.array([np.bincount(direct, minlength=a + 1),
-                          np.bincount(viamu, minlength=a + 1)])
-        table = table[:, table.sum(axis=0) > 0]
-        _, pvalue, _, _ = stats.chi2_contingency(table)
-        assert pvalue > 0.01
 
 
 def index_sets(letters, n):
@@ -321,18 +302,20 @@ class TestAlphabetReductionLaws:
         assert good >= 0.9 * trials
 
     def test_sampled_letter_mass_concentrates(self):
-        # ||p||^2 <= U and ell >= 100 U n  =>  mass of U in [ell/4n, 4 ell/n]
+        # ||p||^2 <= U and ell >= 100 U n  =>  mass of U in [ell/4n, 4 ell/n].
+        # Half the letters weigh 0.1/n and half 1.9/n, so ||p||^2 n = 1.81; on
+        # a uniform law every ell-subset has mass ell/n, in range at any ell.
         n, trials = 400, 500
-        p = uniform_distribution(n)
-        u_bound = 1.0 / n
-        ell = int(100 * u_bound * n)
-        r = rng(7)
-        good = 0
-        for _ in range(trials):
-            u = r.choice(n, size=ell, replace=False)
-            mass = float(p.probs[u].sum())
-            good += ell / (4 * n) <= mass <= 4 * ell / n
-        assert good >= 0.9 * trials
+        p = np.repeat([0.1 / n, 1.9 / n], n // 2)
+
+        def in_range(ell):
+            r = rng(7)
+            masses = [p[r.choice(n, size=ell, replace=False)].sum()
+                      for _ in range(trials)]
+            return np.mean([ell / (4 * n) <= x <= 4 * ell / n for x in masses])
+        assert math.ceil(100 * float(p @ p) * n) == 181
+        assert in_range(181) >= 0.9
+        assert in_range(1) < 0.9  # planted: a single letter is light half the time
 
 
 class TestRepetitionPipeline:
@@ -463,13 +446,6 @@ def reference_repetitions(alice, bob, params, shared):
     a, b = _blocks(alice, params), _blocks(bob, params)
     return [reference_repetition(i, a[i, 0], a[i, 1], *b[i], params, shared)
             for i in range(params.votes)]
-
-
-def rates_agree(x, y):
-    """Two 0/1 samples' rates differ by at most 3 pooled SE."""
-    pooled = (np.sum(x) + np.sum(y)) / (len(x) + len(y))
-    se = math.sqrt(pooled * (1 - pooled) * (1 / len(x) + 1 / len(y)))
-    return abs(np.mean(x) - np.mean(y)) <= 3 * se
 
 
 def law_mismatches(new, old):

@@ -27,9 +27,9 @@ from disttest2p.harness import SharedRandomness
 from disttest2p.independence import (
     ITParams,
     diagonal_joint,
-    it2p_votes,
     product_joint,
 )
+from laws import it2p_votes
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "perfbench"))
 import workloads  # noqa: E402

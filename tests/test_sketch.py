@@ -35,10 +35,7 @@ from disttest2p.sketch import (
     sketch_from_bytes,
     sketch_width,
 )
-
-
-def rng(seed=0):
-    return np.random.default_rng(seed)
+from laws import rng
 
 
 def dense_l2_sketch(vector, alpha, delta, seed):

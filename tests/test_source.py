@@ -1,6 +1,6 @@
 """Source and tooling hygiene: no module under ``src/`` keeps an unused
-top-level import, every memo under ``src/`` is a listed decision, and a
-failing property test fails the session."""
+top-level import, every memo and every definition no program code reads
+is a listed decision, and a failing property test fails the session."""
 
 import ast
 import pathlib
@@ -31,19 +31,24 @@ def unused_imports(source: str) -> list[str]:
                          for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
+        if _assigns(node, "__all__"):
             read |= set(ast.literal_eval(node.value))
     return [name for name in imported if name not in read]
+
+
+def _assigns(node, name: str) -> bool:
+    """Whether ``node`` is an assignment to the name ``name``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == name
+        for target in node.targets)
 
 
 def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import math\nimport os.path\nimport numpy as np\n"
-              "from .dist import draw, sample\n__all__ = ['sample']\n"
+              "from .dist import split_map, sample\n__all__ = ['sample']\n"
               "x = np.zeros(1) + os.path.sep.count('/')\n")
-    assert unused_imports(source) == ["math", "draw"]
+    assert unused_imports(source) == ["math", "split_map"]
 
 
 def test_modules_found():
@@ -145,3 +150,56 @@ def test_a_failing_property_test_fails_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+
+
+# Top-level definitions under src/ that no code under src/ reads, that the
+# package does not export and that perfbench/tracing.py does not trace, each
+# with why it stays.
+UNREAD = {
+    "independence.far_joint": "the joint law at a chosen distance from "
+                              "product, for the roadmap's off-promise curves",
+    "dist.occurrence_from_text": "reads back the hardgen files that "
+                                 "occurrence_to_text writes",
+}
+
+
+def unread_definitions(sources: dict) -> list[str]:
+    """``module.name`` of each top-level function and class in ``sources``
+    (module name -> source) that no module reads: by a ``Name`` or an
+    ``Attribute`` outside the definition itself, or in an ``__all__``.
+    Names match alone: one that a method read elsewhere shares counts as read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, _DEFS) else None
+            defined += [f"{module}.{own}"] if own else []
+            if _assigns(top, "__all__"):
+                read |= set(ast.literal_eval(top.value))
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    return sorted(name for name in defined if name.split(".")[1] not in read)
+
+
+def test_the_check_sees_a_planted_unread_definition():
+    sources = {"a": "__all__ = ['f']\ndef f():\n    return k()\ndef k():\n    pass\n"
+                    "def g():\n    pass\ndef h(x):\n    return h(x)\n"
+                    "class C:\n    pass\n", "b": "from . import a\nx = a.g\n"}
+    assert unread_definitions(sources) == ["a.C", "a.h"]
+
+
+def test_every_definition_is_read_or_listed():
+    # a target of tracing.py's TARGETS reads "disttest2p.module:Name.attr"
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    (targets,) = [top.value for top in tracing.body if _assigns(top, "TARGETS")]
+    specs = [node.value.split(":") for node in ast.walk(targets)
+             if isinstance(node, ast.Constant) and ":" in str(node.value)]
+    traced = {f"{module.split('.')[1]}.{name.split('.')[0]}"
+              for module, name in specs}
+    assert {"sketch.RoundedRotation", "independence.run_repetition"} <= traced
+    found = unread_definitions({path.stem: path.read_text(encoding="utf-8")
+                                for path in MODULES})
+    assert sorted(set(found) - traced) == sorted(UNREAD)
