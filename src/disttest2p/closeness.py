@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -277,9 +278,9 @@ def capped_split_adjustment(a, b, s, level: int,
     and S, both parties' split sets.  Only letters in
     ``M = {i : i in S or A_i > L or B_i > L}`` can contribute; everywhere
     else the capped difference equals the unsplit one.  So only the members'
-    counts are capped, and their split-matrix rows are read one bucket count
-    at a time across all votes.  The split matrices are the two parties'
-    recasts of the stacked counts, vote ``j``'s letter ``i`` at row
+    counts are capped, and their split-matrix rows, at ``1 + S_i`` buckets
+    each, are read by one read per party.  The split matrices are the two
+    parties' recasts of the stacked counts, vote ``j``'s letter ``i`` at row
     ``j n + i``, with at least ``1 + max(s)`` buckets per row.  Returns one
     delta_1 per vote, a scalar for 1-D counts.
     """
@@ -292,15 +293,13 @@ def capped_split_adjustment(a, b, s, level: int,
     vote = members // n
     buckets = 1 + s[members]
     capped = np.minimum(a[members], level) - np.minimum(b[members], level)
+    diff = a_matrix.rows(members, buckets) - b_matrix.rows(members, buckets)
     # A vote's terms sum to at most (|A| + |B|)^2, an integer below 2**53
     # while |A| + |B| < 9e7, so bincount's float sums are exact in any order.
     votes = math.prod(shape)
-    total = -np.bincount(vote, weights=capped * capped, minlength=votes)
-    for m in np.flatnonzero(np.bincount(buckets)).tolist():
-        pick = buckets == m
-        diff = a_matrix.row(members[pick], m) - b_matrix.row(members[pick], m)
-        total += np.bincount(vote[pick], weights=(diff * diff).sum(axis=1),
-                             minlength=votes)
+    total = np.bincount(np.repeat(vote, buckets), weights=diff * diff,
+                        minlength=votes)
+    total -= np.bincount(vote, weights=capped * capped, minlength=votes)
     return total.reshape(shape)[()]
 
 
@@ -335,25 +334,25 @@ class SecureCTParams:
         """Sample sets voted over: k rounded up to odd."""
         return self.k | 1
 
-    @property
+    @cached_property  # the derived sizes all read it; a failed call caches nothing
     def t_prime(self) -> int:
         return self.t // self.votes
 
-    @property
+    @cached_property
     def cap_level(self) -> int:
         return max(1, math.ceil(self.t_prime ** 3 * self.eps ** 4 /
                                 (self.c * self.n ** 2)))
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         return self.c_a * math.sqrt(self.cap_level / self.t_prime)
 
-    @property
+    @cached_property
     def bernoulli_trials(self) -> int:
         return max(1, math.ceil(self.c_l * self.k ** 2 *
                                 math.log(self.n) ** 2 / self.alpha ** 2))
 
-    @property
+    @cached_property
     def splitset_size(self) -> int:
         return max(1, math.ceil(self.t_prime / (2 * self.cap_level)))
 
@@ -406,9 +405,10 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
     party's samples A (Alice) or B (Bob).  All the votes' S, A and B are
     counted by one ``bincount`` over the keys ``(3j + r) n + letter``, with
     ``r`` = 0, 1, 2 for S, A, B.  The votes are then evaluated together as
-    ``(votes, n)`` arrays, each party's recasts, the rotations and the
-    Bernoulli trials drawn from one stream per row; the rotations and trials
-    run only for the votes with positive headroom.
+    ``(votes, n)`` arrays.  One stream per row, ``secure-votes``, draws in
+    turn Alice's split matrix, Bob's, the rotations and the Bernoulli
+    counts; the rotations and counts are drawn only for the votes with
+    positive headroom.
     """
     n, tp, level, reps = params.n, params.t_prime, params.cap_level, params.votes
     half, size, trials = tp // 2, params.splitset_size, params.bernoulli_trials
@@ -426,21 +426,19 @@ def secure_reference_votes(alice_letters: np.ndarray, bob_letters: np.ndarray,
     counts = np.bincount(keys.ravel(), minlength=3 * reps * n).reshape(reps, 3, n)
     s, a, b = counts[:, 0], counts[:, 1], counts[:, 2]
 
-    max_buckets = 1 + int(s.max())
-    a_matrix = split_occurrence_matrix(OccurrenceVector(a.ravel()), max_buckets,
-                                       shared.stream("alice-split"))
-    b_matrix = split_occurrence_matrix(OccurrenceVector(b.ravel()), max_buckets,
-                                       shared.stream("bob-split"))
+    rng = shared.stream("secure-votes")
+    a_matrix, b_matrix = (split_occurrence_matrix(
+        OccurrenceVector(x.ravel()), 1 + int(s.max()), rng) for x in (a, b))
     delta1 = capped_split_adjustment(a, b, s, level, a_matrix, b_matrix)
     tau = threshold_tau(n + 2 * size, half, params.eps)  # |S| = 2 size
     headroom = 2.0 * (tau - delta1)
 
     live = np.flatnonzero(headroom > 0)
     capped = np.minimum(a[live], level) - np.minimum(b[live], level)
-    rotated = haar_rotate(capped, shared.stream("rotation"))
+    rotated = haar_rotate(capped, rng)
     biases = n * rotated ** 2 / (headroom[live, None] * reps)
     hits = np.full(reps, np.nan)
-    hits[live] = bernoulli_hits(biases, trials, shared.stream("bernoulli"))
+    hits[live] = bernoulli_hits(biases, trials, rng)
     delta2 = headroom * reps / trials * hits
 
     votes = []

@@ -7,9 +7,8 @@ container types are frozen and hold read-only views of their arrays, so that
 a container cannot change under a tester; random generators are never stored
 inside them.  A view shares memory with the array it was built from
 and leaves that array writeable: a caller who goes on to write to it changes
-the container too.  The one object that holds a generator is
-:class:`SplitOccurrenceMatrix`: it draws each of its rows on first read and
-keeps it, so a row costs a draw only if it is read.
+the container too.  A :class:`SplitOccurrenceMatrix` keeps the uniforms it
+drew when built, not the generator.
 
 A :class:`Distribution` is a law and the tables that draw from it: on its
 first draw it builds an :class:`InverseCdf` (the cdf at its support, a guide
@@ -182,7 +181,8 @@ class InverseCdf:
         c = cdf[support]
         k = 2 << (c.size - 1).bit_length()
         ck = c * k
-        starts = np.bincount(np.ceil(ck).astype(np.intp), minlength=k + 1)
+        # c[-1] == 1 exactly, so ceil(c * k) reaches k: k + 1 entries
+        starts = np.bincount(np.ceil(ck).astype(np.intp))
         inside = np.floor(ck)
         inside = np.bincount(inside[inside != ck].astype(np.intp), minlength=k)
         self.k = k
@@ -266,12 +266,12 @@ def split_samples(letters: np.ndarray, sm: SplitMap,
 class SplitOccurrenceMatrix:
     """Random splits of each letter's count into every bucket count up to a cap.
 
-    ``row(i, j)`` is a random split of ``X_i`` into ``j`` buckets (the buckets
-    sum to ``X_i``), a multinomial draw with equal bucket probabilities;
-    rows are independent across ``(i, j)``.  A row is drawn from the
-    matrix's generator the first time it is read and kept, so every later
-    read returns the same row: that is what lets a lookup stand in for
-    recasting the underlying samples one by one.
+    It keeps one uniform ``u`` per occurrence, drawn in letter order when it
+    is built.  Row ``(i, j)`` puts each occurrence of letter ``i`` into bucket
+    ``floor(u * j)``, as :func:`split_samples` does: a multinomial split of
+    ``X_i`` into ``j`` equal buckets, independent across letters, the same
+    row at every read.  A letter's rows at two bucket counts share its
+    uniforms, so they are nested, not independent; a vote reads one.
     """
 
     def __init__(self, x: OccurrenceVector, max_buckets: int,
@@ -280,35 +280,37 @@ class SplitOccurrenceMatrix:
             raise ValueError("need at least one bucket")
         self.x = x
         self.max_buckets = max_buckets
-        self._rng = rng
-        # bucket count -> (rows, which rows are drawn); one bucket is X itself
-        self._rows = {1: (x.counts.reshape(-1, 1), np.ones(x.n, dtype=bool))}
+        self._uniforms = rng.random(x.t)
+        self._firsts = np.cumsum(x.counts) - x.counts  # each letter's first
+
+    def rows(self, letters, buckets) -> np.ndarray:
+        """Row ``(letters[r], buckets[r])`` for each ``r``, laid end to end:
+        ``sum(buckets)`` bucket counts, int64."""
+        letters = np.asarray(letters, dtype=np.int64)
+        buckets = np.asarray(buckets, dtype=np.int64)
+        if buckets.size and not (1 <= buckets.min()
+                                 and buckets.max() <= self.max_buckets):
+            raise ValueError("bucket count out of range")
+        counts = self.x.counts[letters]
+        owner = np.repeat(np.arange(letters.size), counts)  # row of each read
+        shift = self._firsts[letters] - (np.cumsum(counts) - counts)
+        u = self._uniforms.take(np.arange(owner.size) + shift.take(owner))
+        start = np.cumsum(buckets) - buckets
+        # floor(u * j) <= j - 1, as in split_samples
+        return np.bincount((u * buckets.take(owner)).astype(np.int64)
+                           + start.take(owner), minlength=int(buckets.sum()))
 
     def row(self, letter, buckets: int) -> np.ndarray:
         """Split of ``X_letter`` into ``buckets``, read-only; an index array of
-        letters gives one row per letter.  Rows not read before are drawn
-        now, by one multinomial call, in ascending letter order."""
-        if not 1 <= buckets <= self.max_buckets:
-            raise ValueError("bucket count out of range")
-        n = self.x.n
-        if buckets not in self._rows:
-            self._rows[buckets] = (np.zeros((n, buckets), dtype=np.int64),
-                                   np.zeros(n, dtype=bool))
-        rows, drawn = self._rows[buckets]
-        new = np.zeros(n, dtype=bool)
-        new[letter] = True
-        new = np.flatnonzero(new & ~drawn)
-        if new.size:
-            rows[new] = self._rng.multinomial(self.x.counts[new],
-                                              np.full(buckets, 1.0 / buckets))
-            drawn[new] = True
-        return _readonly(rows[letter])
+        letters gives one row per letter."""
+        letters = np.asarray(letter, dtype=np.int64)
+        flat = self.rows(letters.ravel(), np.full(letters.size, buckets))
+        return _readonly(flat.reshape(letters.shape + (buckets,)))
 
 
 def split_occurrence_matrix(x: OccurrenceVector, max_buckets: int,
                             rng: np.random.Generator) -> SplitOccurrenceMatrix:
-    """The split rows of ``x`` up to ``max_buckets`` buckets, drawn from ``rng``
-    as they are read."""
+    """A :class:`SplitOccurrenceMatrix` of ``x``, drawn from ``rng``."""
     return SplitOccurrenceMatrix(x, max_buckets, rng)
 
 

@@ -1,6 +1,7 @@
 """Experiment driver: schemas, determinism, skips, fixtures, instance files."""
 
 import csv
+import math
 import os
 from collections import Counter
 import pathlib
@@ -17,6 +18,7 @@ from disttest2p import cli
 from disttest2p.cli import (
     COLUMNS,
     ExperimentConfig,
+    _check_far_eps,
     _geomean,
     _instance_law,
     _parse_overrides,
@@ -29,6 +31,7 @@ from disttest2p.cli import (
     run_experiment,
 )
 from disttest2p.harness import ConfigError
+from disttest2p.independence import diagonal_distance
 
 DATA = pathlib.Path(__file__).parent / "data"
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -192,6 +195,15 @@ class TestInstanceLaws:
                    "instance" in reason for _, status, reason in far)
         assert builds[("product_joint", 2, 2)] == 1
         assert builds[("diagonal_joint", 2, 2)] == 0
+
+
+class TestFarEps:
+    @pytest.mark.parametrize("n, m", [(2, 2), (5, 3), (20, 20)])
+    def test_far_instance_distance_is_the_largest_eps(self, n, m):
+        bound = diagonal_distance(n, m)
+        _check_far_eps(n, m, bound)
+        with pytest.raises(ConfigError, match="distance of the far instance"):
+            _check_far_eps(n, m, math.nextafter(bound, 3))
 
 
 class TestFixtures:

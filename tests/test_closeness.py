@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +21,7 @@ from disttest2p.closeness import (
     ct2p_secure_reference,
     distinguish,
     far_instance,
+    norm_estimates_agree,
     secure_reference_f,
     secure_reference_votes,
     threshold_tau,
@@ -81,6 +81,20 @@ class TestParams:
         p = CTParams(n=100, t=10 ** 4, eps=1.0)
         assert p.alpha == pytest.approx(1 / 3)
 
+    def test_min_samples_formula(self):
+        # C max(n^(2/3) eps^(-4/3), sqrt(n) eps^(-2)), C = 8, at a cell where
+        # each term is the larger
+        assert CTParams(n=200, t=10 ** 6, eps=1.0).min_samples() == \
+            pytest.approx(8 * 200 ** (2 / 3), rel=1e-12)
+        assert CTParams(n=10, t=10 ** 6, eps=0.25).min_samples() == \
+            pytest.approx(8 * math.sqrt(10) * 16, rel=1e-12)
+
+    def test_secure_alphabet_of_two_builds_and_of_one_is_refused(self):
+        # at n=1 every other rule passes (log n = 0 gives one Bernoulli trial)
+        assert SecureCTParams(n=2, t=13, eps=1.0, k=1).t_prime == 13
+        with pytest.raises(ConfigError, match="alphabet size"):
+            SecureCTParams(n=1, t=13, eps=1.0, k=1)
+
     def test_split_rate_formula(self):
         p = CTParams(n=200, t=274, eps=1.0)
         assert p.split_rate == pytest.approx(200 ** 2 / 274 ** 2)
@@ -102,6 +116,17 @@ class TestParams:
     def test_bad_secure_constants_refused(self, override):
         with pytest.raises(ConfigError):
             SecureCTParams(n=200, t=1095, eps=1.0, k=4, **override)
+
+
+class TestNormAgreement:
+    def test_floor_at_three_samples(self):
+        # the floor is 1/C(3, 2) = 1/3: an estimate of 0 reads as 1/3, which
+        # agrees with 16/3 and with nothing above it
+        floor = 1 / 3
+        assert norm_estimates_agree(0.0, 16 * floor, 3)
+        assert norm_estimates_agree(16 * floor, 0.0, 3)
+        assert not norm_estimates_agree(0.0, math.nextafter(16 * floor, 6), 3)
+        assert norm_estimates_agree(floor, 16 * floor, 3)
 
 
 class TestFarInstance:
@@ -267,7 +292,7 @@ class TestStackedSplitAdjustment:
     @given(st.data())
     def test_identity_per_vote(self, data):
         # per vote, delta_1 = ||A_S - B_S||^2 - ||A' - B'||^2 exactly, the
-        # split vectors read from the same lazily drawn matrices
+        # split vectors read back from the same matrices
         votes, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
 
         def counts(top):
@@ -347,7 +372,7 @@ class TestSecureReference:
             np.tile(letters[:params.splitset_size], 2), 200)
         m = split_occurrence_matrix(x, 1 + int(s.counts.max()), rng(3))
         assert capped_split_adjustment(x, x, s, params.cap_level, m, m) == 0.0
-        # each party recasts on its own stream, so only delta2 vanishes
+        # each party's matrix draws its own uniforms, so only delta2 vanishes
         for vote in secure_reference_votes(letters, letters, params,
                                            SharedRandomness(3)):
             assert vote.delta2 == 0.0
@@ -463,11 +488,36 @@ def reference_split_matrices(x, max_buckets, rng):
         rng.multinomial(x, np.full(j, 1.0 / j)) for j in range(2, max_buckets + 1)]
 
 
-def reference_split_rows(x, max_buckets, rng):
-    """Reference: :func:`reference_split_matrices` cut into one row array per
-    (letter, bucket count)."""
-    per_j = reference_split_matrices(x.counts, max_buckets, rng)
-    return [[per_j[j][i] for j in range(max_buckets)] for i in range(x.n)]
+class OneBucketTooMany:
+    """Planted: a split matrix whose read splits each row at one bucket too
+    many, ``floor(u (j + 1))``, so the extra bucket spills into the first
+    bucket of the next row (the last row's spill is lost)."""
+
+    def __init__(self, x, max_buckets, rng):
+        self.matrix = split_occurrence_matrix(x, max_buckets + 1, rng)
+
+    def rows(self, letters, buckets):
+        buckets = np.asarray(buckets, dtype=np.int64)
+        wide = self.matrix.rows(letters, buckets + 1)
+        # entry p of row r moves back by r, onto the layout at j buckets
+        shifted = np.arange(wide.size) - np.repeat(np.arange(buckets.size),
+                                                   buckets + 1)
+        total = int(buckets.sum())
+        return np.bincount(shifted, weights=wide,
+                           minlength=total + 1)[:total].astype(np.int64)
+
+
+def rows_agree(new, old):
+    """Two stacks of split rows agree in law: chi-square homogeneity over
+    the rows' values, the values seen fewer than 10 times pooled, p > 0.001."""
+    values, seen = np.unique(np.concatenate((new, old)), axis=0,
+                             return_inverse=True)
+    table = np.stack([np.bincount(part, minlength=len(values))
+                      for part in np.split(seen.ravel(), [len(new)])])
+    rare = table.sum(axis=0) < 10
+    if rare.any():
+        table = np.column_stack((table[:, ~rare], table[:, rare].sum(axis=1)))
+    return stats.chi2_contingency(table).pvalue > 0.001
 
 
 def reference_secure_votes(alice_letters, bob_letters, params, shared):
@@ -626,7 +676,7 @@ class TestClosedFormLaws:
         # C4's cell, 300 instances per family: the batched votes against
         # the per-vote loop they replace, on the same instances, so only the
         # random streams differ.  The same check must catch split rows drawn
-        # at one bucket too many.
+        # at one bucket too many (the extra bucket spilling into the next row).
         params = SecureCTParams(n=200, t=1095, eps=1.0, k=4)
         uniform = uniform_distribution(200)
         families = {"same": uniform, "far": far_instance(200, 1.0)}
@@ -641,39 +691,30 @@ class TestClosedFormLaws:
                     out[family] += run(a, b, params, SharedRandomness(trial))
             return out
 
-        def shifted_matrix(x, max_buckets, r):
-            matrix = split_occurrence_matrix(x, max_buckets + 1, r)
-            return types.SimpleNamespace(
-                row=lambda letter, m: matrix.row(letter, m + 1))
-
         old = votes(reference_secure_votes)
         new = votes(secure_reference_votes)
         with monkeypatch.context() as m:
-            m.setattr(closeness, "split_occurrence_matrix", shifted_matrix)
+            m.setattr(closeness, "split_occurrence_matrix", OneBucketTooMany)
             planted = votes(secure_reference_votes)
         for family in families:
             assert law_mismatches(new[family], old[family]) == [], family
         assert law_mismatches(planted["far"], old["far"]) != []
 
     def test_split_matrix_rows_match_reference(self):
-        r = rng(13)
-        for _ in range(20):
-            x = OccurrenceVector(r.integers(0, 40, int(r.integers(1, 30))))
-            max_buckets = int(r.integers(1, 9))
-            seed = int(r.integers(2 ** 32))
-            m = split_occurrence_matrix(x, max_buckets, rng(seed))
-            rows = reference_split_rows(x, max_buckets, rng(seed))
-            # rows are drawn on first read: reading every letter at each
-            # bucket count in turn draws what the eager reference draws
-            for j in range(1, max_buckets + 1):
-                assert np.array_equal(m.row(np.arange(x.n), j),
-                                      [rows[i][j - 1] for i in range(x.n)])
-            for i in range(x.n):
-                for j in range(1, max_buckets + 1):
-                    got = m.row(i, j)
-                    assert got.dtype == rows[i][j - 1].dtype
-                    assert np.array_equal(got, rows[i][j - 1])
-                    assert not got.flags.writeable
-            letters = np.arange(x.n)[::2]
-            assert np.array_equal(m.row(letters, max_buckets),
-                                  [rows[i][max_buckets - 1] for i in letters])
+        # per count and bucket number, 4,000 rows of one matrix against as
+        # many eager multinomial rows: the same law, and a matrix splitting
+        # at one bucket too many is told apart
+        draws, r = 4_000, rng(13)
+        planted = []
+        for count in (1, 4, 9):
+            x = OccurrenceVector(np.full(draws, count))
+            reference = reference_split_matrices(x.counts, 5, r)
+            for j in (2, 3, 5):
+                letters, buckets = np.arange(draws), np.full(draws, j)
+                new = split_occurrence_matrix(x, j, r).rows(letters, buckets)
+                assert rows_agree(new.reshape(draws, j), reference[j - 1]), \
+                    (count, j)
+                bad = OneBucketTooMany(x, j, r).rows(letters, buckets)
+                planted.append(rows_agree(bad.reshape(draws, j),
+                                          reference[j - 1]))
+        assert not any(planted)

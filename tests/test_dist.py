@@ -140,6 +140,17 @@ class TestDraw:
         w = np.array(weights)
         _same_as_choice(w / w.sum(), t, seed)
 
+    @given(weights=_WEIGHTS)
+    def test_guide_has_two_buckets_per_cell_rounded_up_to_a_power_of_two(
+            self, weights):
+        # a power of two keeps c*k and u*k exact, which the bit-for-bit
+        # match with choice rests on
+        w = np.array(weights)
+        probs = w / w.sum()
+        k, support = dist.InverseCdf(probs).k, np.count_nonzero(probs)
+        assert k & (k - 1) == 0
+        assert support <= k // 2 < 2 * support
+
     @pytest.mark.parametrize("size", [1, 2, 3, 64, 65])
     def test_one_hot(self, size):
         for letter in {0, size // 2, size - 1}:
@@ -387,6 +398,28 @@ class TestSplitOccurrenceMatrix:
         for i in range(12):
             for j in range(1, 7):
                 assert m.row(i, j).sum() == x.counts[i]
+
+    @given(st.data())
+    def test_rows_lays_the_rows_end_to_end(self, data):
+        # one ragged read is the rows read one at a time, in order
+        n = data.draw(st.integers(1, 10))
+        max_buckets = data.draw(st.integers(1, 6))
+        x = OccurrenceVector(data.draw(st.lists(st.integers(0, 30),
+                                                min_size=n, max_size=n)))
+        m = split_occurrence_matrix(x, max_buckets,
+                                    rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(1, max_buckets)),
+                                   max_size=12))
+        letters = np.array([i for i, _ in pairs], dtype=np.int64)
+        buckets = np.array([j for _, j in pairs], dtype=np.int64)
+        flat = m.rows(letters, buckets)
+        assert flat.dtype == np.int64
+        assert np.array_equal(flat, np.concatenate(
+            [m.row(i, j) for i, j in pairs] + [np.zeros(0, dtype=np.int64)]))
+        for bad in (0, max_buckets + 1):
+            with pytest.raises(ValueError, match="bucket count out of range"):
+                m.rows(np.append(letters, 0), np.append(buckets, bad))
 
     @given(st.data())
     def test_rows_are_drawn_once_and_kept(self, data):

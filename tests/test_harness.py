@@ -130,7 +130,6 @@ class TestTranscript:
 STREAM_SEEDS = {
     "alice-recast": (0x00495C0B51CCE809, 0x37F8D7CA3F87D2D5),
     "alice-split": (0xBA5A5ACF592D78CE, 0xA71C9DA19D403B84),
-    "bernoulli": (0x8024D63CCA6F6160, 0xCECAD304C2C12DED),
     "bob-recast-p": (0xFDCB7035D436658A, 0xB0E149C72D50C75F),
     "bob-recast-q": (0x2B9EE77887C1ED08, 0x47388190329FCC2C),
     "bob-split": (0x296DA8B0B1297578, 0x3C8D69FDF19E9D0F),
@@ -138,7 +137,7 @@ STREAM_SEEDS = {
     "ct2p-sketch": (0xFFCD36A972928EA2, 0x6C5DD33DA068D741),
     "oneway-bob": (0x217DD7289A74D9B7, 0x98AD70EBC2781C9D),
     "oneway-universe": (0xEB82AE0A91D95274, 0xEABC31214C3BFC77),
-    "rotation": (0x7F378984152FB674, 0xAEC0326A588943C1),
+    "secure-votes": (0xC402EC9746EB46C6, 0x2C52B2FA25BD5BC0),
 }
 
 

@@ -633,6 +633,15 @@ class TestIT2P:
         with pytest.raises(ConfigError):
             ITParams(n=20, m=20, t=100, eps=1.0, k=2)
 
+    def test_min_samples_formula(self):
+        # C k (n^(2/3) m^(1/3) eps^(-4/3) + sqrt(nm) eps^(-2)), C = 100
+        assert ITParams(n=20, m=20, t=10 ** 6, eps=1.0, k=2).min_samples() == \
+            pytest.approx(200 * (20 + 20), rel=1e-12)
+        assert ITParams(n=100, m=50, t=10 ** 8, eps=0.5,
+                        k=3).min_samples() == pytest.approx(
+            300 * (100 ** (2 / 3) * 50 ** (1 / 3) * 0.5 ** (-4 / 3)
+                   + math.sqrt(5000) * 4), rel=1e-12)
+
     def test_m_larger_than_n_rejected(self):
         with pytest.raises(ConfigError):
             ITParams(n=10, m=20, t=10 ** 6, eps=1.0, k=2)

@@ -47,7 +47,7 @@ CSV_SHA256 = {
     ("secure-closeness", "closeness-secure", 200, 1):
         "2bb556e85d764c78341a35283f8f76129dbbe814a0043c02c11895c39812ff07",
     ("secure-closeness", "closeness-secure", 200, 7):
-        "ad8a12e41fdc97aa0458da704a6680ffeaaf303ba24ee5bf261491c82d091672",
+        "161451bb020b0feb90e62a0049a48892df74553e59fb72f72591a65f6b2f5c21",
     ("independence", "independence", 20, 1):
         "6773ce495dc4431d2e31afa6afd70f4a4afb9b875f8ae37389d8dd6baa14f002",
     ("independence", "independence", 100, 1):
@@ -74,9 +74,9 @@ CSV_SHA256 = {
 # instance per family, the instances and shared randomness seeded by seed
 VOTE_SHA256 = {
     ("closeness-secure", 200, 1):
-        "82493ce5e59cf6af658c8d9336c17d43c89c78fe948291e407696bad4f7a14de",
+        "1bb80a6fd5f6e1f15af18e83b16be1d6dd89835cf6f3f7fec51b0f5cb17d9ffa",
     ("closeness-secure", 200, 7):
-        "ca89b4fdbb846b4d638bc0828ef2fc130daa43b118abb883fa0b66e1cd1f408c",
+        "3e41730a2749d91c4df4b2963eafa8ed003cc0d67de36c702274fc558b36358d",
     ("independence", 20, 1):
         "bea830bf15226ba4a4c01c96e7f751ff7e5a0efccc2af7eb3a1c076f3aed0e40",
     ("independence", 20, 7):

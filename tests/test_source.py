@@ -67,6 +67,15 @@ MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
 MEMOS = {
     "cli._instance_law": "an instance law and its sampling tables are built "
                          "once per process, not once per row",
+    "closeness.SecureCTParams.t_prime": "read by every derived size; a "
+                                        "refused call caches nothing",
+    "closeness.SecureCTParams.cap_level": "read by the secure votes, alpha "
+                                          "and the split set size",
+    "closeness.SecureCTParams.alpha": "read by the Bernoulli trial count",
+    "closeness.SecureCTParams.bernoulli_trials": "read by the secure votes "
+                                                 "and the closed-form bits",
+    "closeness.SecureCTParams.splitset_size": "read by the secure votes and "
+                                              "the threshold",
     "dist.Distribution.sampler": "a law's inverse-cdf tables are built on its "
                                  "first draw, not on every draw",
     "harness._label_code": "a pure function of a stream label, hashed on "
