@@ -226,8 +226,8 @@ def ct2p_insecure(alice_samples: IndexedSampleSet, bob_samples: IndexedSampleSet
                           minlength=sm.total_letters)
         norm_sq = collision_norm_estimate(a_s)
         yield Send(struct.pack("<d", norm_sq))
-        sk = l2_sketch(a_s, params.alpha, params.sketch_delta, sketch_seed)
-        yield Send(sk.to_bytes())
+        yield Send(l2_sketch(a_s, params.alpha, params.sketch_delta,
+                             sketch_seed).to_bytes())
         return _decode_verdict((yield Recv()))
 
     def bob_program():

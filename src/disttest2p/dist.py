@@ -12,11 +12,12 @@ drew when built, not the generator.
 
 A :class:`Distribution` is a law and the tables that draw from it: on its
 first draw it builds an :class:`InverseCdf` (the cdf at its support, a guide
-table with marked buckets and, for a law with zeros, the support's letters,
-all read-only) and keeps it, so a law drawn from many times builds them
-once.  The tables are copies: a write to the array under ``probs`` after
-the first draw does not reach them.  A joint law keeps its tables the same
-way, with the row and the column of each support cell.
+table, a mark on each bucket that holds two or more cdf values and, for a
+law with zeros, the support's letters, all read-only) and keeps it, so a law
+drawn from many times builds them once.  The tables are copies: a write to
+the array under ``probs`` after the first draw does not reach them.  A joint
+law keeps its tables the same way, with the row and the column of each
+support cell.
 """
 
 from __future__ import annotations
@@ -164,37 +165,38 @@ class InverseCdf:
     an indexed search replaces the binary search (Chen and Asau 1974;
     Devroye 1986, III.2).  The answer is always a cell where the cdf rises,
     hence of positive probability, so only the support is kept: the cdf
-    values ``c`` at its cells and the cells' coordinates.  The guide cuts
-    ``[0, 1)`` into ``k`` buckets, two per support cell rounded up to a
-    power of two (so ``c*k`` and ``u*k`` are exact): ``guide[b]`` counts the
-    ``c`` at most ``b/k``, which is the answer of a draw in bucket ``b``
-    unless some ``c`` lies strictly inside it.  Such buckets are marked: a
-    draw in a bucket holding one ``c`` takes one step forward if ``c <= u``,
-    and a draw in a bucket holding more is binary searched.  Every array is
-    read-only.
+    values ``c`` at its cells, held as ``c*k``, and the cells' coordinates.
+    The guide cuts ``[0, 1)`` into ``k`` buckets, two per support cell
+    rounded up to a power of two (so ``c*k`` and ``u*k`` are exact):
+    ``guide[b]`` counts the ``c`` at most ``b/k``.  A draw in bucket ``b``
+    starts there and takes one step forward if the next ``c`` is at most
+    ``u``.  That is its answer unless two or more ``c`` lie strictly inside
+    the bucket: in a bucket holding none the next ``c`` is at least
+    ``(b+1)/k > u``, so the draw does not step, and in a bucket holding one
+    a step reaches it.  Buckets holding more are marked, and their draws
+    are binary searched.  Every array is read-only.
     """
 
     def __init__(self, probs: np.ndarray):
         cdf = np.cumsum(probs, dtype=np.float64)
         cdf /= cdf[-1]
         support = np.flatnonzero(probs)
-        c = cdf[support]
-        k = 2 << (c.size - 1).bit_length()
-        ck = c * k
+        k = 2 << (support.size - 1).bit_length()
+        ck = cdf[support] * k
         # c[-1] == 1 exactly, so ceil(c * k) reaches k: k + 1 entries
         starts = np.bincount(np.ceil(ck).astype(np.intp))
         inside = np.floor(ck)
         inside = np.bincount(inside[inside != ck].astype(np.intp), minlength=k)
         self.k = k
-        self.cdf = _readonly(c)
+        self.cdf_k = _readonly(ck)
         self.guide = _readonly(np.cumsum(starts[:k], dtype=np.int64))
-        # cdf values strictly inside each bucket: none, one, or more (2)
-        self.marks = _readonly(np.minimum(inside, 2).astype(np.uint8))
+        # buckets holding two or more cdf values strictly inside them
+        self.marks = _readonly(inside > 1)
         self.crowded = bool(inside.max() > 1)  # some draws binary search
         self.ndim = probs.ndim
         # each support cell's coordinates, one table per axis; a vector
         # drawn on its whole alphabet needs none, as a cell is its letter
-        full_vector = probs.ndim == 1 and c.size == probs.size
+        full_vector = probs.ndim == 1 and support.size == probs.size
         self.cells = () if full_vector else tuple(
             _readonly(axis.astype(np.int64, copy=False))
             for axis in np.unravel_index(support, probs.shape))
@@ -220,19 +222,14 @@ class InverseCdf:
     def _coordinates(self, u: np.ndarray) -> tuple:
         """The coordinates of the cells that the uniforms ``u`` draw; ``u``
         is scaled in place."""
-        c, k = self.cdf, self.k
-        u *= k  # exact: k is a power of two
+        u *= self.k  # exact: k is a power of two
         buckets = u.astype(np.intp)
         cell = self.guide.take(buckets)
-        marks = self.marks.take(buckets)
-        live = np.flatnonzero(marks != 0)  # a bool array finds them fastest
-        u_live = u.take(live) / k
-        step = cell.take(live)
-        step += c.take(step) <= u_live
+        cell += self.cdf_k.take(cell) <= u
         if self.crowded:
-            search = np.flatnonzero(marks.take(live) == 2)
-            step[search] = np.searchsorted(c, u_live[search], side="right")
-        cell[live] = step
+            search = np.flatnonzero(self.marks.take(buckets))
+            cell[search] = np.searchsorted(self.cdf_k, u.take(search),
+                                           side="right")
         if not self.cells:
             return (cell,)
         return tuple(table.take(cell) for table in self.cells)

@@ -19,6 +19,9 @@ from .harness import ProtocolError
 
 _PRIME = (1 << 31) - 1  # Mersenne prime modulus of the polynomial hashes
 _ROTATION_GRID_BITS = 20  # RoundedRotation rounds its entries to 2**-20
+# int64 hash words per pass of l2_sketch: 128 KiB, glibc's default mmap
+# threshold, so a pass's temporaries reuse heap pages instead of fresh ones
+_PASS_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,8 @@ class L2Sketch:
 
     def to_bytes(self) -> bytes:
         """Length-prefixed float64 counter vector (one 64-bit word each)."""
-        return struct.pack("<I", self.counters.size) + \
-            self.counters.astype("<f8", copy=False).tobytes()
+        return b"".join((struct.pack("<I", self.counters.size),
+                         self.counters.astype("<f8", copy=False)))
 
 
 def sketch_from_bytes(payload: bytes, template: L2Sketch) -> L2Sketch:
@@ -64,8 +67,10 @@ def sketch_width(alpha: float, delta: float) -> tuple[int, int]:
 def l2_sketch(vector, alpha: float, delta: float, seed: int) -> L2Sketch:
     """Sketch a count vector (or anything array-like) at relative error alpha.
 
-    Hashes only nonzero coordinates (O(nnz * groups) time, O(counters)
-    memory); float64 counters keep integer sketches exactly linear.
+    Hashes only nonzero coordinates, in passes of about
+    ``_PASS_WORDS / (2 * groups)`` of them: O(nnz * groups) time and
+    O(counters + one pass) memory.  Float64 counters keep integer sketches
+    exactly linear, and each counter adds its terms in coordinate order.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -79,6 +84,18 @@ def l2_sketch(vector, alpha: float, delta: float, seed: int) -> L2Sketch:
         0, _PRIME, size=(4, 2 * groups, 1), dtype=np.int64)
     nz = np.flatnonzero(v)
     top = int(nz[-1]) if nz.size else 0
+    counters = np.zeros(groups * group_size)
+    block = max(1, _PASS_WORDS // (2 * groups))
+    for start in range(0, nz.size, block):
+        x = nz[start:start + block]
+        _add_pass(counters, x, v[x], top, coeffs, group_size)
+    return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+
+
+def _add_pass(counters, x, weights, top, coeffs, group_size):
+    """Hash the coordinates ``x`` and add their signed ``weights`` into
+    ``counters``; the pass's temporaries are freed when it returns, so the
+    next pass reuses their memory."""
     # Degree-3 polynomials by Horner's rule in exact int64 arithmetic; rows
     # [:groups] give buckets and rows [groups:] signs.  ``hi`` bounds every
     # entry of ``h``: coefficients and residues are below _PRIME < 2**31 and
@@ -86,35 +103,49 @@ def l2_sketch(vector, alpha: float, delta: float, seed: int) -> L2Sketch:
     # mod _PRIME only before a step that could pass 2**63.  That is one
     # reduction in all (the last) for top <= 1625, two for top < 2**16 and
     # three above; the residues are those of reducing at every step.
-    h = coeffs[0] * nz
+    # ``top`` is the largest nonzero coordinate of the whole vector, so
+    # every pass reduces at the same steps.
+    h = coeffs[0] * x
     h += coeffs[1]
     hi = (_PRIME - 1) * (top + 1)
     for c in coeffs[2:]:
         if hi * top + _PRIME > 1 << 63:
             h -= h // _PRIME * _PRIME
             hi = _PRIME - 1
-        h *= nz
+        h *= x
         h += c
         hi = hi * top + _PRIME - 1
     h -= h // _PRIME * _PRIME
+    groups = h.shape[0] // 2
     buckets = h[:groups]
     buckets -= buckets // group_size * group_size
     buckets += group_size * np.arange(groups)[:, None]
     signs = 1 - 2 * (h[groups:] & 1)
-    counters = np.bincount(buckets.ravel(), weights=(signs * v[nz]).ravel(),
-                           minlength=groups * group_size)
-    return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+    # add.at adds each counter's terms in coordinate order, as one bincount
+    # over every pass would; 1-D indices take numpy's fast path
+    np.add.at(counters, buckets.ravel(), (signs * weights).ravel())
 
 
 def estimate_distance_sq(sa: L2Sketch, sb: L2Sketch) -> float:
-    """Estimate ``||X - Y||^2`` from two same-seed sketches."""
+    """Estimate ``||X - Y||^2`` from two same-seed sketches: the median over
+    groups of the sums of squared counter differences, as ``np.median``
+    computes it (the mean of the two middle sums for an even count).
+
+    The counters must be finite, as :func:`sketch_from_bytes` ensures: a NaN
+    sum would not come out as ``np.median``'s NaN.
+    """
     if (sa.seed, sa.alpha, sa.delta) != (sb.seed, sb.alpha, sb.delta):
         raise ValueError("sketches built with different seed or accuracy")
     if sa.counters.size != sb.counters.size:
         raise ValueError("sketch widths differ")
     sq = sa.counters - sb.counters
     sq *= sq
-    return float(np.median(sq.reshape(sa.groups, sa.group_size).sum(axis=1)))
+    sums = sq.reshape(sa.groups, sa.group_size).sum(axis=1)
+    mid = sums.size // 2
+    if sums.size % 2:
+        return float(np.partition(sums, mid)[mid])
+    lo, hi = np.partition(sums, (mid - 1, mid))[mid - 1:mid + 1]
+    return float((lo + hi) / 2)
 
 
 def collision_norm_estimate(counts) -> float:

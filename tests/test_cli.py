@@ -175,7 +175,7 @@ class TestInstanceLaws:
         arrays = []
         for law in (uniform, far, product, diagonal):
             sampler = law.sampler
-            arrays += [law.probs, sampler.cdf, sampler.guide, sampler.marks,
+            arrays += [law.probs, sampler.cdf_k, sampler.guide, sampler.marks,
                        *sampler.cells]
         # the uniform law draws letters without a cell table
         assert len(arrays) == 4 * 4 + 0 + 1 + 2 + 2
@@ -364,7 +364,7 @@ def readme_cli_commands() -> list:
 class TestReadme:
     def test_cli_block_runs(self, tmp_path):
         commands = readme_cli_commands()
-        assert len(commands) == 7
+        assert len(commands) == 8
         for i, args in enumerate(commands):
             if "--out" in args:
                 at = args.index("--out") + 1

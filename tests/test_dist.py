@@ -185,11 +185,36 @@ class TestDraw:
     ], ids=["quarters", "uniform-8", "tenths", "uniform-3", "thirds-sparse",
             "crowded"])
     def test_bucket_edges(self, probs, once, crowded):
-        marks = dist.InverseCdf(probs).marks
-        assert (np.count_nonzero(marks == 1), np.count_nonzero(marks == 2)) \
+        # cdf values strictly inside each bucket; only crowded buckets are
+        # marked, as a draw in a bucket holding one steps at most once
+        sampler = dist.InverseCdf(probs)
+        ck = sampler.cdf_k
+        inside = np.bincount(np.floor(ck[ck != np.floor(ck)]).astype(np.intp),
+                             minlength=sampler.k)
+        assert (np.count_nonzero(inside == 1), np.count_nonzero(inside > 1)) \
             == (once, crowded)
+        assert np.array_equal(sampler.marks, inside > 1)
         for seed in range(3):
             _same_as_choice(probs, 5000, seed)
+
+    @given(left=st.lists(st.integers(0, 9), max_size=30),
+           right=st.lists(st.integers(0, 9), max_size=30),
+           t=st.sampled_from([1, 5000]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cdf_value_on_a_bucket_edge_matches_choice(self, left, right, t,
+                                                       seed):
+        # Each half of the law is integer weights over one power of two, so
+        # every cdf value is exact and the last letter of the left half
+        # ends at exactly 1/2 = (k/2)/k, a bucket edge: a draw in the bucket
+        # after it must not step.  The other cdf values lie on edges, alone
+        # inside a bucket or crowded, as the weights fall.
+        total = 1 << max(sum(left), sum(right), 1).bit_length()
+        w = np.array(left + [total - sum(left)] + right + [total - sum(right)],
+                     dtype=np.float64)
+        probs = w / (2 * total)
+        sampler = dist.InverseCdf(probs)
+        assert np.cumsum(probs)[len(left)] == 0.5
+        assert sampler.k // 2 in sampler.cdf_k
+        _same_as_choice(probs, t, seed)
 
     def test_uniform_on_a_cdf_value(self):
         # choice's search is right-sided: u == cdf[i] draws past letter i

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import disttest2p.closeness as closeness
+import disttest2p.sketch as sketch
 from disttest2p.closeness import (
     CTParams,
     _decode_multiset,
@@ -51,7 +52,8 @@ def dense_l2_sketch(vector, alpha, delta, seed):
 
 def stepwise_l2_sketch(vector, alpha, delta, seed):
     """Reference for the hashed sketch: Horner's rule reduced mod 2^31 - 1 at
-    every step, so no intermediate value reaches 2^62."""
+    every step, so no intermediate value reaches 2^62, over every nonzero
+    at once with one bincount."""
     v = np.asarray(vector, dtype=np.float64)
     groups, group_size = sketch_width(alpha, delta)
     prime = (1 << 31) - 1
@@ -66,6 +68,10 @@ def stepwise_l2_sketch(vector, alpha, delta, seed):
     counters = np.bincount(buckets.ravel(), weights=(signs * v[nz]).ravel(),
                            minlength=groups * group_size)
     return L2Sketch(counters, seed, alpha, delta, groups, group_size)
+
+
+# coordinates per pass of l2_sketch at alpha=0.4, delta=0.2
+_PASS = sketch._PASS_WORDS // (2 * sketch_width(0.4, 0.2)[0])
 
 
 def estimate_norm_sq(s: L2Sketch) -> float:
@@ -199,6 +205,50 @@ class TestL2Sketch:
         assert np.array_equal(l2_sketch(v, 0.4, 0.2, seed).counters,
                               stepwise_l2_sketch(v, 0.4, 0.2, seed).counters)
 
+    @given(st.integers(0, 3 * _PASS), st.integers(0, 10 ** 5),
+           st.integers(0, 2 ** 32 - 1))
+    @example(0, 0, 0)  # the all-zero vector: no pass, zero counters
+    @example(_PASS, 0, 1)
+    @example(_PASS + 1, 0, 2)
+    @example(3 * _PASS, 10 ** 5, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_passes_match_stepwise(self, nnz, spare, seed):
+        # Nonzeros spanning up to three passes, with non-integer entries:
+        # each counter adds its terms in coordinate order across the
+        # passes, as one bincount over all of them does, bit for bit.
+        r = rng(seed)
+        v = np.zeros(nnz + spare)
+        v[r.choice(v.size, nnz, replace=False)] = r.standard_normal(nnz) * 1e3
+        got = l2_sketch(v, 0.4, 0.2, seed).counters
+        assert got.tobytes() == \
+            stepwise_l2_sketch(v, 0.4, 0.2, seed).counters.tobytes()
+        assert nnz or not got.any()
+
+    def test_one_pass_peak_memory(self):
+        # The hashes of 10^5 nonzeros in one (2 * groups, nnz) array peaked
+        # at 88.9 MB; in passes, the counters and one pass remain.
+        v = np.ones(10 ** 5)
+        tracemalloc.start()
+        try:
+            l2_sketch(v, 1 / 3, 0.05, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+    @given(st.integers(1, 9), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_median_matches_numpy(self, groups, group_size, data):
+        # At odd and even group counts: the middle sum, or the mean of the
+        # two middle sums, exactly as np.median computes it
+        counters = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=groups * group_size,
+            max_size=groups * group_size)))
+        sa = L2Sketch(counters, 0, 0.5, 0.5, groups, group_size)
+        sb = dataclasses.replace(sa, counters=np.zeros_like(counters))
+        sums = (counters ** 2).reshape(groups, group_size).sum(axis=1)
+        assert estimate_distance_sq(sa, sb) == float(np.median(sums))
+
     @given(integer_vector_pairs(), st.integers(0, 2 ** 64 - 1))
     @settings(max_examples=60, deadline=None)
     def test_distance_estimate_keeps_counters(self, pair, seed):
@@ -216,7 +266,11 @@ class TestL2Sketch:
     @settings(max_examples=60, deadline=None)
     def test_bytes_round_trip(self, pair, alpha, delta, seed):
         s = l2_sketch(np.array(pair[0]), alpha, delta, seed)
-        back = sketch_from_bytes(s.to_bytes(), s)
+        payload = s.to_bytes()
+        assert payload == struct.pack("<I", s.counters.size) + \
+            s.counters.astype("<f8").tobytes()
+        back = sketch_from_bytes(payload, s)
+        assert back.to_bytes() == payload
         assert np.array_equal(back.counters, s.counters)
         assert (back.seed, back.alpha, back.delta, back.groups,
                 back.group_size) == (seed, alpha, delta, s.groups, s.group_size)
